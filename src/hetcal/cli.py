@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run Monte Carlo scenarios")
     sim.add_argument("--scenarios", required=True, help="scenario CSV file")
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; output depends only on the seeds")
     return parser
 
 
@@ -98,7 +99,7 @@ def cmd_simulate(args) -> int:
     rows = []
     for cfg in configs:
         try:
-            summary = run_scenario(cfg, threads=max(1, args.threads))
+            summary = run_scenario(cfg)
         except AllReplicatesFailed as exc:
             print(f"warning: {exc}; scenario skipped", file=sys.stderr)
             continue

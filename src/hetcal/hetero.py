@@ -7,10 +7,10 @@ standard i is then ``gamma_i = sigma_eps2 + beta**2 * delta_var[i]``.
 
 The intercept and the unknown concentration have closed-form expressions in
 terms of the slope and the data means, which reduces the likelihood to a
-two-variable objective in (slope, response-error variance).  That profiled
-objective is maximized numerically: a simplex search followed by a Newton
-polish on the score equations, with convergence certified afterwards from
-the score residuals rather than trusted from the optimizer's own flag.
+two-variable objective in (slope, response-error variance).  A safeguarded
+Newton iteration on its closed-form gradient and Hessian maximizes it, and
+convergence is certified afterwards from the score residuals rather than
+trusted from the iteration's own stopping rule.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import (
     FirstStageData,
@@ -38,22 +37,22 @@ from .usual import EXPANSION_FACTOR, confidence_interval
 class FitOptions:
     """Iterative-fit controls.
 
-    ``score_tol`` is relative: the convergence test scales it by the size of
-    the slope-score terms so that datasets with slopes of order 1e5 and of
-    order 10 share one tolerance.  ``initial_theta`` overrides the default
-    least-squares starting point.
+    ``max_iterations`` bounds the Newton steps.  ``score_tol`` is relative:
+    the convergence test scales it by the size of the slope-score terms so
+    that datasets with slopes of order 1e5 and of order 10 share one
+    tolerance.  ``initial_theta`` overrides the default least-squares
+    starting point.
     """
 
     max_iterations: int = 10000
-    objective_tol: float = 1e-12
     score_tol: float = 1e-6
     initial_theta: Theta | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.objective_tol <= 0 or self.score_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.score_tol <= 0:
+            raise ValueError("score_tol must be positive")
 
 
 def gamma(beta: float, sigma_eps2: float, first: FirstStageData) -> np.ndarray:
@@ -239,6 +238,27 @@ class _ProfiledObjective:
         r_sigma = float(np.sum(w)) - (self.ss0 / (s2 * s2) - self.k / s2)
         return r_beta, r_sigma
 
+    def hessian(self, beta: float, s2: float):
+        """Second derivatives (bb, bs, ss) of ``value`` in (slope, variance).
+
+        ``scores`` is minus the gradient of ``value``, with the variance
+        component doubled: (r_beta, r_sigma) = -(dl/dbeta, 2 dl/ds2).
+        """
+        gam = s2 + beta * beta * self.dv
+        d = self.yc - beta * self.xc
+        w = (gam - d * d) / (gam * gam)
+        u = (gam - 2.0 * d * d) / gam**3
+        xd = self.xc * d / (gam * gam)
+        h_bb = (
+            -float(np.sum(self.dv * w))
+            + 2.0 * beta * beta * float(np.sum(self.dv * self.dv * u))
+            - float(np.sum(self.xc * self.xc / gam))
+            - 4.0 * beta * float(np.sum(self.dv * xd))
+        )
+        h_bs = beta * float(np.sum(self.dv * u)) - float(np.sum(xd))
+        h_ss = 0.5 * float(np.sum(u)) + 0.5 * self.k / (s2 * s2) - self.ss0 / s2**3
+        return h_bb, h_bs, h_ss
+
     def score_scale(self, beta: float, s2: float) -> float:
         # size of the slope-score terms: sum over |X_i * residual_i / gamma_i|
         gam = s2 + beta * beta * self.dv
@@ -246,56 +266,67 @@ class _ProfiledObjective:
         return float(np.sum(np.abs(self.x * d / gam))) + 1.0
 
 
-def _newton_polish(obj: _ProfiledObjective, beta: float, s2: float,
-                   max_steps: int = 40):
-    """Damped Newton iteration on the two score equations, run to stagnation.
+def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float,
+            max_iterations: int):
+    """Safeguarded Newton ascent on the profiled log-likelihood, stepping in
+    (beta / beta_scale, log s2).
 
-    The Jacobian is taken by central differences of the analytic scores; a
-    step is halved until it keeps the variance positive and does not lower
-    the objective materially.  Polishing all the way to rounding level
-    matters: the intercept amplifies any slope error by the ratio of the
-    response scale to the intercept scale.
+    Where minus the Hessian is not positive definite it is shifted by a
+    multiple of the identity (Levenberg).  Steps are capped at 0.5 in scaled
+    slope and 3 in log variance, then halved until the objective does not
+    fall by more than rounding.  Runs until the accepted step is below 1e-14
+    or for ``max_iterations`` steps: the intercept amplifies any slope error
+    by the ratio of the response scale to the intercept scale, so the
+    solution is taken to rounding level.  Returns the iterate with the
+    smallest scaled score as ``(beta, s2, scaled score, score norm,
+    iterations)``.
     """
-
-    def norm(b, s):
-        rb, rs = obj.scores(b, s)
-        return max(abs(rb), abs(rs))
-
-    best = (norm(beta, s2), beta, s2)
-    steps = 0
-    for _ in range(max_steps):
-        rb, rs = obj.scores(beta, s2)
-        if max(abs(rb), abs(rs)) < 1e-13 * obj.score_scale(beta, s2):
+    value = obj.value(beta, s2)
+    best = (beta, s2, math.inf, math.inf)
+    iterations = 0
+    while True:
+        r_beta, r_sigma = obj.scores(beta, s2)
+        norm = max(abs(r_beta), abs(r_sigma))
+        scaled = norm / obj.score_scale(beta, s2)
+        if scaled < best[2]:
+            best = (beta, s2, scaled, norm)
+        if iterations == max_iterations:
             break
-        hb = 1e-7 * max(abs(beta), 1e-8)
-        hs = 1e-7 * s2
-        jbb = (obj.scores(beta + hb, s2)[0] - obj.scores(beta - hb, s2)[0]) / (2 * hb)
-        jsb = (obj.scores(beta + hb, s2)[1] - obj.scores(beta - hb, s2)[1]) / (2 * hb)
-        jbs = (obj.scores(beta, s2 + hs)[0] - obj.scores(beta, s2 - hs)[0]) / (2 * hs)
-        jss = (obj.scores(beta, s2 + hs)[1] - obj.scores(beta, s2 - hs)[1]) / (2 * hs)
-        jac = np.array([[jbb, jbs], [jsb, jss]])
-        try:
-            db, ds = np.linalg.solve(jac, [-rb, -rs])
-        except np.linalg.LinAlgError:
+        iterations += 1
+        # gradient and minus the Hessian in (beta / beta_scale, log s2); the
+        # log-variance curvature gains s2 * dl/ds2 from the chain rule
+        g_u = -beta_scale * r_beta
+        g_v = -0.5 * s2 * r_sigma
+        h_bb, h_bs, h_ss = obj.hessian(beta, s2)
+        a = -beta_scale * beta_scale * h_bb
+        b = -beta_scale * s2 * h_bs
+        c = -s2 * s2 * h_ss - g_v
+        mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        floor = 1e-8 * (abs(mid) + rad)
+        if mid - rad < floor:  # smallest eigenvalue, in closed form
+            shift = floor - (mid - rad)
+            a, c = a + shift, c + shift
+        det = a * c - b * b
+        if not det > 0.0:
             break
-        base = obj.value(beta, s2)
-        t = 1.0
-        while t > 1e-10:
-            b_new, s_new = beta + t * db, s2 + t * ds
-            if s_new > 0 and obj.value(b_new, s_new) >= base - 1e-9 * (abs(base) + 1.0):
-                beta, s2 = b_new, s_new
+        du, dv = (c * g_u - b * g_v) / det, (a * g_v - b * g_u) / det
+        if not math.isfinite(du + dv):
+            break
+        lowest = value - 1e-12 * (abs(value) + 1.0)
+        t = 1.0 / max(1.0, 2.0 * abs(du), abs(dv) / 3.0)
+        while True:
+            step = t * max(abs(du), abs(dv))
+            beta_new, s2_new = beta + beta_scale * t * du, s2 * math.exp(t * dv)
+            value_new = obj.value(beta_new, s2_new)
+            if value_new >= lowest or step < 1e-14:
                 break
             t *= 0.5
-        else:
+        if value_new < lowest:
+            break  # no step down to 1e-14 keeps the objective
+        beta, s2, value = beta_new, s2_new, value_new
+        if step < 1e-14:
             break
-        steps += 1
-        current = norm(beta, s2)
-        if current < best[0]:
-            best = (current, beta, s2)
-        elif current > 0.5 * best[0]:
-            break  # rounding floor reached
-    _, beta, s2 = best
-    return beta, s2, steps
+    return (*best, iterations)
 
 
 def _exact_fit(obj: _ProfiledObjective, first, second):
@@ -342,12 +373,12 @@ def fit_hetero(
     """Fit the heteroscedastic controlled calibration model.
 
     Maximizes the profiled log-likelihood over (slope, log response-variance)
-    with a Nelder-Mead simplex started at the first-stage least-squares slope
-    and the second-stage sample variance, then polishes the solution with a
-    Newton iteration on the score equations.  ``converged`` requires both the
-    objective to have stabilized and the score residuals to be below the
-    scaled tolerance; on failure one restart from a perturbed slope is tried
-    and the best iterate is returned with ``converged=False``.
+    with a safeguarded Newton iteration on its analytic gradient and Hessian,
+    started at the first-stage least-squares slope and the second-stage
+    sample variance (or at ``opts.initial_theta``).  ``converged`` means the
+    scaled score residuals of the returned iterate are below
+    ``opts.score_tol``; otherwise the iterate with the smallest scaled score
+    is returned with ``converged=False``.  ``iterations`` counts Newton steps.
     """
     opts = opts or FitOptions()
     validate(first, second)
@@ -364,39 +395,10 @@ def fit_hetero(
     if s20 <= 0:
         raise NonPositiveVariance(f"initial variance {s20} is not positive")
     beta_scale = abs(beta0) if beta0 != 0 else slope_threshold(first) + 1.0
-
-    def solve_from(b_start: float):
-        def nll(z):
-            return -obj.value(z[0] * beta_scale, s20 * math.exp(z[1]))
-
-        z0 = np.array([b_start / beta_scale, 0.0])
-        simplex = np.array([z0, z0 + [0.1, 0.0], z0 + [0.0, 0.7]])
-        res = minimize(
-            nll,
-            z0,
-            method="Nelder-Mead",
-            options=dict(
-                initial_simplex=simplex,
-                maxiter=opts.max_iterations,
-                maxfev=2 * opts.max_iterations,
-                xatol=1e-12,
-                fatol=opts.objective_tol * (abs(nll(z0)) + 1.0),
-            ),
-        )
-        beta = float(res.x[0] * beta_scale)
-        s2 = float(s20 * math.exp(res.x[1]))
-        beta, s2, polish_steps = _newton_polish(obj, beta, s2)
-        rb, rs = obj.scores(beta, s2)
-        score_ok = max(abs(rb), abs(rs)) < opts.score_tol * obj.score_scale(beta, s2)
-        objective_ok = bool(res.success) or polish_steps > 0
-        return beta, s2, res.nit + polish_steps, score_ok and objective_ok, max(abs(rb), abs(rs))
-
-    beta, s2, iters, converged, score_norm = solve_from(beta0)
-    if not converged:
-        beta2, s22, iters2, conv2, norm2 = solve_from(1.05 * beta0)
-        if obj.value(beta2, s22) > obj.value(beta, s2) or conv2:
-            beta, s2, converged, score_norm = beta2, s22, conv2, norm2
-            iters += iters2
+    beta, s2, scaled, score_norm, iters = _newton(
+        obj, beta0, s20, beta_scale, opts.max_iterations
+    )
+    converged = scaled < opts.score_tol
 
     floor = 1e-12 * (obj.ss0 / obj.k + np.var(first.y) + 1e-300)
     if s2 <= floor:

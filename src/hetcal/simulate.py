@@ -4,24 +4,21 @@ half-width.
 
 Replicates are independent; replicate ``r`` of a scenario draws from its own
 generator seeded by ``(seed, r)``, so results are bit-identical for a fixed
-seed regardless of how many threads execute them.  Aggregation runs over
-index-ordered arrays after all replicates finish, which keeps the reduction
-order fixed as well.
+seed.  Aggregation runs over index-ordered arrays after all replicates
+finish, which keeps the reduction order fixed as well.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import FirstStageData, SecondStageData, Theta
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import FitOptions, fit_hetero, variance_x0
-from .usual import fit_usual, variance_usual
+from .usual import fit_usual, normal_quantile, variance_usual
 
 
 def default_grid(n: int) -> np.ndarray:
@@ -161,7 +158,7 @@ class ScenarioSummary:
 _FIT_OPTIONS = FitOptions()
 
 
-def simulate_replicates(cfg: ScenarioConfig, threads: int = 1) -> ReplicateTable:
+def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     """Run every replicate of a scenario and collect per-replicate metrics."""
     m = cfg.n_reps
     table = ReplicateTable(
@@ -175,9 +172,8 @@ def simulate_replicates(cfg: ScenarioConfig, threads: int = 1) -> ReplicateTable
         covered_proposed=np.zeros(m, dtype=bool),
         failed=np.zeros(m, dtype=bool),
     )
-    z = float(norm.ppf(1.0 - (1.0 - cfg.ci_level) / 2.0))
-
-    def one(rep: int) -> None:
+    z = normal_quantile(cfg.ci_level)
+    for rep in range(m):
         rng = replicate_rng(cfg.seed, rep)
         first, second = generate_dataset(cfg, rng)
         try:
@@ -187,7 +183,7 @@ def simulate_replicates(cfg: ScenarioConfig, threads: int = 1) -> ReplicateTable
                 raise CalibrationError("no convergence")
         except CalibrationError:
             table.failed[rep] = True
-            return
+            continue
         table.err_usual[rep] = res_u.theta_hat.x0 - cfg.x0_true
         table.err_proposed[rep] = res_p.theta_hat.x0 - cfg.x0_true
         table.var_usual[rep] = res_u.var_x0
@@ -198,13 +194,6 @@ def simulate_replicates(cfg: ScenarioConfig, threads: int = 1) -> ReplicateTable
         table.halfwidth_proposed[rep] = hw_p
         table.covered_usual[rep] = abs(table.err_usual[rep]) <= hw_u
         table.covered_proposed[rep] = abs(table.err_proposed[rep]) <= hw_p
-
-    if threads <= 1:
-        for rep in range(m):
-            one(rep)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(m)))
     return table
 
 
@@ -264,6 +253,6 @@ def summarize(cfg: ScenarioConfig, table: ReplicateTable) -> ScenarioSummary:
     )
 
 
-def run_scenario(cfg: ScenarioConfig, threads: int = 1) -> ScenarioSummary:
+def run_scenario(cfg: ScenarioConfig) -> ScenarioSummary:
     """Simulate one scenario and summarize both estimators."""
-    return summarize(cfg, simulate_replicates(cfg, threads=threads))
+    return summarize(cfg, simulate_replicates(cfg))

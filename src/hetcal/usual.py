@@ -9,14 +9,19 @@ two models coincide.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import FirstStageData, FitResult, SecondStageData, Theta, slope_threshold, validate
 from .errors import InvalidLevel, SlopeNearZero
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
+
+
+def normal_quantile(level: float) -> float:
+    """Standard normal quantile of a two-sided interval at ``level``."""
+    return NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
 
 
 def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
@@ -25,8 +30,7 @@ def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
         raise InvalidLevel(f"confidence level must be in (0, 1), got {level}")
     if var_x0 < 0:
         raise ValueError(f"var_x0 must be nonnegative, got {var_x0}")
-    z = float(norm.ppf(1.0 - (1.0 - level) / 2.0))
-    half = z * math.sqrt(var_x0)
+    half = normal_quantile(level) * math.sqrt(var_x0)
     return float(x0_hat - half), float(x0_hat + half)
 
 

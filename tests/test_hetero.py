@@ -17,6 +17,7 @@ from hetcal import (
     profile_alpha_x0,
     score_residuals,
 )
+from hetcal.hetero import _initial_point, _ProfiledObjective
 
 from conftest import make_model_dataset, rel_diff
 
@@ -170,6 +171,39 @@ def test_scores_nonzero_away_from_optimum(analytes):
     d = first.y - alpha - bumped_beta * first.x_fixed
     scale = float(np.sum(np.abs(first.x_fixed * d / gam))) + 1.0
     assert abs(rb) > 1e-3 * scale
+
+
+def test_hessian_matches_central_differences_of_scores(analytes):
+    rng = np.random.default_rng(28)
+    datasets = list(analytes.values())
+    datasets += [make_model_dataset(rng)[:2] for _ in range(4)]
+    for first, second in datasets:
+        obj = _ProfiledObjective(first, second)
+        beta0, s20 = _initial_point(obj, first, second, FitOptions())
+        for beta, s2 in ((beta0, s20), (1.1 * beta0, 3.0 * s20)):
+            h_bb, h_bs, h_ss = obj.hessian(beta, s2)
+            hb, hs = 1e-6 * abs(beta), 1e-6 * s2
+            # scores are -(dl/dbeta, 2 dl/ds2)
+            up_b, down_b = obj.scores(beta + hb, s2), obj.scores(beta - hb, s2)
+            up_s, down_s = obj.scores(beta, s2 + hs), obj.scores(beta, s2 - hs)
+            assert h_bb == pytest.approx(-(up_b[0] - down_b[0]) / (2 * hb), rel=1e-6)
+            assert h_bs == pytest.approx(-(up_s[0] - down_s[0]) / (2 * hs), rel=1e-6)
+            assert h_bs == pytest.approx(-(up_b[1] - down_b[1]) / (4 * hb), rel=1e-6)
+            assert h_ss == pytest.approx(-(up_s[1] - down_s[1]) / (4 * hs), rel=1e-6)
+
+
+def test_log_variance_hessian_is_indefinite_at_lead_start(analytes):
+    # The solver steps in (beta, log s2), where d2l/dv2 = s2^2 h_ss + s2 dl/ds2.
+    # An indefinite Hessian there is what the Levenberg shift handles.
+    first, second = analytes["lead"]
+    obj = _ProfiledObjective(first, second)
+    beta, s2 = _initial_point(obj, first, second, FitOptions())
+    h_bb, h_bs, h_ss = obj.hessian(beta, s2)
+    _, r_sigma = obj.scores(beta, s2)
+    h_bv = s2 * h_bs
+    h_vv = s2 * s2 * h_ss - 0.5 * s2 * r_sigma
+    assert h_bb * h_vv - h_bv * h_bv < 0.0
+    assert fit_hetero(first, second).converged
 
 
 # ---------------------------------------------------------- fit_hetero
@@ -358,10 +392,16 @@ def test_initial_theta_override_reaches_same_optimum(analytes):
     assert rel_diff(seeded.theta_hat.sigma_eps2, base.theta_hat.sigma_eps2) < 1e-7
 
 
+def test_iteration_cap_reports_nonconvergence(analytes):
+    res = fit_hetero(*analytes["lead"], FitOptions(max_iterations=1))
+    assert not res.converged
+    assert res.iterations == 1
+    t = res.theta_hat
+    assert all(math.isfinite(v) for v in (t.alpha, t.beta, t.x0, t.sigma_eps2, res.var_x0))
+
+
 def test_fit_options_validation():
     with pytest.raises(ValueError):
         FitOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitOptions(objective_tol=0.0)
     with pytest.raises(ValueError):
         FitOptions(score_tol=-1e-9)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +316,16 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     assert main(["simulate", "--scenarios", str(scen),
                  "--out", str(tmp_path / "o.csv")]) == 1
     capsys.readouterr()
+
+
+def test_import_does_not_load_scipy():
+    import hetcal
+
+    src = str(Path(hetcal.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, hetcal, hetcal.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
