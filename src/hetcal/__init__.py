@@ -23,6 +23,7 @@ from .errors import (
     MismatchedLengths,
     NegativeUncertainty,
     NegativeVariance,
+    NonFiniteValue,
     NonPositiveVariance,
     ParseError,
     SingularInformation,
@@ -31,7 +32,6 @@ from .errors import (
     TooFewStandards,
 )
 from .hetero import (
-    FitOptions,
     fisher_information,
     fit_hetero,
     gamma,
@@ -70,7 +70,6 @@ __all__ = [
     "CalibrationError",
     "DegenerateDesign",
     "FirstStageData",
-    "FitOptions",
     "FitReport",
     "FitResult",
     "InvalidLevel",
@@ -78,6 +77,7 @@ __all__ = [
     "ModelAggregates",
     "NegativeUncertainty",
     "NegativeVariance",
+    "NonFiniteValue",
     "NonPositiveVariance",
     "ParseError",
     "ReplicateTable",

@@ -5,6 +5,9 @@ The two-stage data model: the first stage holds the calibration standards
 concentration-preparation error for each standard); the second stage holds
 the replicate responses measured on the unknown sample.  All containers are
 immutable after construction and safe to share across threads.
+
+``validate`` is the input check both estimators run; among other things it
+rejects NaN or infinite concentrations and responses with ``NonFiniteValue``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .errors import (
     DegenerateDesign,
     MismatchedLengths,
     NegativeVariance,
+    NonFiniteValue,
     TooFewReplicates,
     TooFewStandards,
 )
@@ -120,6 +124,10 @@ def validate(first: FirstStageData, second: SecondStageData):
             f"delta_var[{bad}] = {first.delta_var[bad]} is not a "
             "nonnegative finite number"
         )
+    for name, vec in (("x_fixed", first.x_fixed), ("y", first.y), ("y0", second.y0)):
+        if not np.all(np.isfinite(vec)):
+            bad = int(np.flatnonzero(~np.isfinite(vec))[0])
+            raise NonFiniteValue(f"{name}[{bad}] = {vec[bad]} is not a finite number")
     if np.ptp(first.x_fixed) == 0.0:
         raise DegenerateDesign("all standard concentrations are identical")
     return first, second

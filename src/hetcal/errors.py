@@ -21,6 +21,10 @@ class NegativeVariance(CalibrationError):
     """A known error variance is negative (or not a number)."""
 
 
+class NonFiniteValue(CalibrationError):
+    """A concentration or response is NaN or infinite."""
+
+
 class DegenerateDesign(CalibrationError):
     """All standard concentrations are identical; the slope is unidentifiable."""
 

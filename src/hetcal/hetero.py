@@ -11,48 +11,28 @@ two-variable objective in (slope, response-error variance).  A safeguarded
 Newton iteration on its closed-form gradient and Hessian maximizes it, and
 convergence is certified afterwards from the score residuals rather than
 trusted from the iteration's own stopping rule.
+
+Each formula is written once (``gamma``, ``_log_likelihood``,
+``_ProfiledObjective.derivatives``, ``_gamma_sums``); the public functions of
+the full parameter vector evaluate those same formulas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (
-    FirstStageData,
-    FitResult,
-    SecondStageData,
-    Theta,
-    means,
-    slope_threshold,
-    validate,
+    FirstStageData, FitResult, SecondStageData, Theta, means, slope_threshold, validate,
 )
 from .errors import NonPositiveVariance, SingularInformation, SlopeNearZero
 from .usual import EXPANSION_FACTOR, confidence_interval
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Iterative-fit controls.
-
-    ``max_iterations`` bounds the Newton steps.  ``score_tol`` is relative:
-    the convergence test scales it by the size of the slope-score terms so
-    that datasets with slopes of order 1e5 and of order 10 share one
-    tolerance.  ``initial_theta`` overrides the default least-squares
-    starting point.
-    """
-
-    max_iterations: int = 10000
-    score_tol: float = 1e-6
-    initial_theta: Theta | None = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.score_tol <= 0:
-            raise ValueError("score_tol must be positive")
+MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
+# relative: scaled by the size of the slope-score terms, so that datasets with
+# slopes of order 1e5 and of order 10 share one convergence tolerance
+SCORE_TOL = 1e-6
 
 
 def gamma(beta: float, sigma_eps2: float, first: FirstStageData) -> np.ndarray:
@@ -62,17 +42,22 @@ def gamma(beta: float, sigma_eps2: float, first: FirstStageData) -> np.ndarray:
     return sigma_eps2 + beta * beta * first.delta_var
 
 
+def _log_likelihood(gam, d, ss0, k, s2) -> float:
+    """Log-likelihood up to a constant from the marginal variances, the
+    first-stage residuals and the second-stage sum of squares of k readings."""
+    return float(
+        -0.5 * np.sum(np.log(gam))
+        - 0.5 * k * math.log(s2)
+        - 0.5 * (np.sum(d * d / gam) + ss0 / s2)
+    )
+
+
 def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData) -> float:
     """Log-likelihood of the full parameter vector, up to an additive constant."""
     gam = gamma(theta.beta, theta.sigma_eps2, first)
     r1 = first.y - theta.alpha - theta.beta * first.x_fixed
     r0 = second.y0 - theta.alpha - theta.beta * theta.x0
-    k = second.k
-    return float(
-        -0.5 * np.sum(np.log(gam))
-        - 0.5 * k * math.log(theta.sigma_eps2)
-        - 0.5 * (np.sum(r1 * r1 / gam) + np.sum(r0 * r0) / theta.sigma_eps2)
-    )
+    return _log_likelihood(gam, r1, np.sum(r0 * r0), second.k, theta.sigma_eps2)
 
 
 def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):
@@ -97,46 +82,34 @@ def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData
     condition of the profiled objective; with the intercept at its profile
     value the centering term is the only difference from the raw form.
     """
-    if theta.sigma_eps2 <= 0:
-        raise NonPositiveVariance(f"sigma_eps2 must be positive, got {theta.sigma_eps2}")
-    x, y, y0 = first.x_fixed, first.y, second.y0
-    s2 = theta.sigma_eps2
-    gam = s2 + theta.beta**2 * first.delta_var
-    d = y - theta.alpha - theta.beta * x
-    w = (gam - d * d) / (gam * gam)
-    ss0 = float(np.sum((y0 - y0.mean()) ** 2))
-    k = y0.size
-    r_beta = theta.beta * float(np.sum(first.delta_var * w)) - float(
-        np.sum((x - x.mean()) * d / gam)
-    )
-    r_sigma = float(np.sum(w)) - (ss0 / s2**2 - k / s2)
-    return r_beta, r_sigma
+    d = first.y - theta.alpha - theta.beta * first.x_fixed
+    obj = _ProfiledObjective(first, second)
+    return obj.derivatives(theta.beta, theta.sigma_eps2, d)[:2]
+
+
+def _gamma_sums(theta: Theta, first: FirstStageData, k: int):
+    """Weighted sums of the expected information with k readings: of 1, x and
+    x^2 over gamma, and of 1, delta_var and delta_var^2 over gamma^2."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    gam = gamma(theta.beta, theta.sigma_eps2, first)
+    x, dv, g2 = first.x_fixed, first.delta_var, gam**2
+    terms = (1.0 / gam, x / gam, x * x / gam, 1.0 / g2, dv / g2, dv * dv / g2)
+    return tuple(float(np.sum(t)) for t in terms)
 
 
 def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarray:
     """Expected information matrix, ordered (alpha, beta, x0, sigma_eps2)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    gam = gamma(theta.beta, theta.sigma_eps2, first)
-    x = first.x_fixed
-    dv = first.delta_var
+    s1, sx, sxx, t1, td, tdd = _gamma_sums(theta, first, k)
     be, x0, s2 = theta.beta, theta.x0, theta.sigma_eps2
-    s1 = np.sum(1.0 / gam)
-    sx = np.sum(x / gam)
-    sxx = np.sum(x * x / gam)
-    t1 = np.sum(1.0 / gam**2)
-    td = np.sum(dv / gam**2)
-    tdd = np.sum(dv * dv / gam**2)
-    info = np.empty((4, 4))
+    info = np.zeros((4, 4))
     info[0, 0] = s1 + k / s2
     info[0, 1] = info[1, 0] = sx + k * x0 / s2
     info[0, 2] = info[2, 0] = k * be / s2
-    info[0, 3] = info[3, 0] = 0.0
     info[1, 1] = sxx + 2.0 * be * be * tdd + k * x0 * x0 / s2
     info[1, 2] = info[2, 1] = k * be * x0 / s2
     info[1, 3] = info[3, 1] = be * td
     info[2, 2] = k * be * be / s2
-    info[2, 3] = info[3, 2] = 0.0
     info[3, 3] = 0.5 * t1 + 0.5 * k / s2**2
     return info
 
@@ -151,22 +124,12 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     """
     if abs(theta.beta) < slope_threshold(first):
         raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    gam = gamma(theta.beta, theta.sigma_eps2, first)
-    x = first.x_fixed
-    dv = first.delta_var
+    s1, sx, sxx, t1, td, tdd = _gamma_sums(theta, first, k)
     be, x0, s2 = theta.beta, theta.x0, theta.sigma_eps2
     n = first.n
     b2 = be * be
     s4 = s2 * s2
     s6 = s4 * s2
-    s1 = float(np.sum(1.0 / gam))
-    sx = float(np.sum(x / gam))
-    sxx = float(np.sum(x * x / gam))
-    t1 = float(np.sum(1.0 / gam**2))
-    td = float(np.sum(dv / gam**2))
-    tdd = float(np.sum(dv * dv / gam**2))
 
     e1_terms = (
         -n * x0 * x0 * s4 * s1 * t1,
@@ -211,63 +174,57 @@ class _ProfiledObjective:
 
     def __init__(self, first: FirstStageData, second: SecondStageData):
         x, y, y0 = first.x_fixed, first.y, second.y0
+        self.first = first
         self.x = x
         self.xc = x - x.mean()
         self.yc = y - y.mean()
         self.dv = first.delta_var
         self.ss0 = float(np.sum((y0 - y0.mean()) ** 2))
-        self.n = x.size
         self.k = y0.size
+        # first-stage least-squares slope: the Newton start and the slope of
+        # an exactly linear noiseless dataset
+        self.beta_ls = float(np.sum(self.xc * self.yc) / np.sum(self.xc * self.xc))
 
     def value(self, beta: float, s2: float) -> float:
         if s2 <= 0 or not np.isfinite(s2) or not np.isfinite(beta):
             return -math.inf
-        gam = s2 + beta * beta * self.dv
-        d = self.yc - beta * self.xc
-        return float(
-            -0.5 * np.sum(np.log(gam))
-            - 0.5 * self.k * math.log(s2)
-            - 0.5 * (np.sum(d * d / gam) + self.ss0 / s2)
-        )
+        gam = gamma(beta, s2, self.first)
+        return _log_likelihood(gam, self.yc - beta * self.xc, self.ss0, self.k, s2)
 
-    def scores(self, beta: float, s2: float):
-        gam = s2 + beta * beta * self.dv
-        d = self.yc - beta * self.xc
-        w = (gam - d * d) / (gam * gam)
-        r_beta = beta * float(np.sum(self.dv * w)) - float(np.sum(self.xc * d / gam))
-        r_sigma = float(np.sum(w)) - (self.ss0 / (s2 * s2) - self.k / s2)
-        return r_beta, r_sigma
+    def derivatives(self, beta: float, s2: float, d=None):
+        """Scores, score scale and Hessian at (beta, s2), from one evaluation.
 
-    def hessian(self, beta: float, s2: float):
-        """Second derivatives (bb, bs, ss) of ``value`` in (slope, variance).
-
-        ``scores`` is minus the gradient of ``value``, with the variance
-        component doubled: (r_beta, r_sigma) = -(dl/dbeta, 2 dl/ds2).
+        Returns ``(r_beta, r_sigma, scale, h_bb, h_bs, h_ss)``: the scores
+        -(dl/dbeta, 2 dl/ds2) of ``value``, the size of the slope-score terms
+        (sum of |X_i d_i / gamma_i|, plus one) and the second derivatives of
+        ``value`` in (slope, variance).  ``d`` are the first-stage residuals;
+        by default the centered ones at the profiled intercept.
         """
-        gam = s2 + beta * beta * self.dv
-        d = self.yc - beta * self.xc
-        w = (gam - d * d) / (gam * gam)
-        u = (gam - 2.0 * d * d) / gam**3
-        xd = self.xc * d / (gam * gam)
+        gam = gamma(beta, s2, self.first)
+        if d is None:
+            d = self.yc - beta * self.xc
+        g2 = gam * gam
+        dd = d * d
+        xcd = self.xc * d
+        w = (gam - dd) / g2
+        u = (gam - 2.0 * dd) / gam**3
+        xd = xcd / g2
+        dvw = float(np.sum(self.dv * w))
+        r_beta = beta * dvw - float(np.sum(xcd / gam))
+        r_sigma = float(np.sum(w)) - (self.ss0 / (s2 * s2) - self.k / s2)
+        scale = float(np.sum(np.abs(self.x * d / gam))) + 1.0
         h_bb = (
-            -float(np.sum(self.dv * w))
+            -dvw
             + 2.0 * beta * beta * float(np.sum(self.dv * self.dv * u))
             - float(np.sum(self.xc * self.xc / gam))
             - 4.0 * beta * float(np.sum(self.dv * xd))
         )
         h_bs = beta * float(np.sum(self.dv * u)) - float(np.sum(xd))
         h_ss = 0.5 * float(np.sum(u)) + 0.5 * self.k / (s2 * s2) - self.ss0 / s2**3
-        return h_bb, h_bs, h_ss
-
-    def score_scale(self, beta: float, s2: float) -> float:
-        # size of the slope-score terms: sum over |X_i * residual_i / gamma_i|
-        gam = s2 + beta * beta * self.dv
-        d = self.yc - beta * self.xc
-        return float(np.sum(np.abs(self.x * d / gam))) + 1.0
+        return r_beta, r_sigma, scale, h_bb, h_bs, h_ss
 
 
-def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float,
-            max_iterations: int):
+def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
     """Safeguarded Newton ascent on the profiled log-likelihood, stepping in
     (beta / beta_scale, log s2).
 
@@ -275,7 +232,7 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float,
     multiple of the identity (Levenberg).  Steps are capped at 0.5 in scaled
     slope and 3 in log variance, then halved until the objective does not
     fall by more than rounding.  Runs until the accepted step is below 1e-14
-    or for ``max_iterations`` steps: the intercept amplifies any slope error
+    or for ``MAX_ITERATIONS`` steps: the intercept amplifies any slope error
     by the ratio of the response scale to the intercept scale, so the
     solution is taken to rounding level.  Returns the iterate with the
     smallest scaled score as ``(beta, s2, scaled score, score norm,
@@ -285,19 +242,18 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float,
     best = (beta, s2, math.inf, math.inf)
     iterations = 0
     while True:
-        r_beta, r_sigma = obj.scores(beta, s2)
+        r_beta, r_sigma, scale, h_bb, h_bs, h_ss = obj.derivatives(beta, s2)
         norm = max(abs(r_beta), abs(r_sigma))
-        scaled = norm / obj.score_scale(beta, s2)
+        scaled = norm / scale
         if scaled < best[2]:
             best = (beta, s2, scaled, norm)
-        if iterations == max_iterations:
+        if iterations == MAX_ITERATIONS:
             break
         iterations += 1
         # gradient and minus the Hessian in (beta / beta_scale, log s2); the
         # log-variance curvature gains s2 * dl/ds2 from the chain rule
         g_u = -beta_scale * r_beta
         g_v = -0.5 * s2 * r_sigma
-        h_bb, h_bs, h_ss = obj.hessian(beta, s2)
         a = -beta_scale * beta_scale * h_bb
         b = -beta_scale * s2 * h_bs
         c = -s2 * s2 * h_ss - g_v
@@ -336,10 +292,10 @@ def _exact_fit(obj: _ProfiledObjective, first, second):
     when the least-squares residuals are at rounding level; otherwise the
     variance really is being driven to the boundary and the caller raises.
     """
-    beta = float(np.sum(obj.xc * obj.yc) / np.sum(obj.xc * obj.xc))
+    beta = obj.beta_ls
     ssr = float(np.sum((obj.yc - beta * obj.xc) ** 2))
     yscale = max(float(np.max(np.abs(obj.yc), initial=0.0)), 1.0)
-    rounding_ss = obj.n * (64.0 * np.finfo(float).eps * yscale) ** 2
+    rounding_ss = first.n * (64.0 * np.finfo(float).eps * yscale) ** 2
     if ssr > rounding_ss or abs(beta) < slope_threshold(first):
         return None
     alpha, x0 = profile_alpha_x0(beta, first, second)
@@ -356,31 +312,17 @@ def _exact_fit(obj: _ProfiledObjective, first, second):
     )
 
 
-def _initial_point(obj: _ProfiledObjective, first, second, opts: FitOptions):
-    if opts.initial_theta is not None:
-        return float(opts.initial_theta.beta), float(opts.initial_theta.sigma_eps2)
-    beta0 = float(np.sum(obj.xc * obj.yc) / np.sum(obj.xc * obj.xc))
-    s20 = obj.ss0 / obj.k
-    return beta0, s20
-
-
-def fit_hetero(
-    first: FirstStageData,
-    second: SecondStageData,
-    opts: FitOptions | None = None,
-    level: float = 0.95,
-) -> FitResult:
+def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
     """Fit the heteroscedastic controlled calibration model.
 
     Maximizes the profiled log-likelihood over (slope, log response-variance)
     with a safeguarded Newton iteration on its analytic gradient and Hessian,
     started at the first-stage least-squares slope and the second-stage
-    sample variance (or at ``opts.initial_theta``).  ``converged`` means the
-    scaled score residuals of the returned iterate are below
-    ``opts.score_tol``; otherwise the iterate with the smallest scaled score
-    is returned with ``converged=False``.  ``iterations`` counts Newton steps.
+    sample variance.  ``converged`` means the scaled score residuals of the
+    returned iterate are below ``SCORE_TOL``; otherwise the iterate with the
+    smallest scaled score is returned with ``converged=False``.
+    ``iterations`` counts Newton steps, at most ``MAX_ITERATIONS``.
     """
-    opts = opts or FitOptions()
     validate(first, second)
     obj = _ProfiledObjective(first, second)
     if obj.ss0 <= 0.0:
@@ -391,14 +333,10 @@ def fit_hetero(
             "second-stage responses are all identical; the response-error "
             "variance estimate would be driven to zero"
         )
-    beta0, s20 = _initial_point(obj, first, second, opts)
-    if s20 <= 0:
-        raise NonPositiveVariance(f"initial variance {s20} is not positive")
+    beta0 = obj.beta_ls
     beta_scale = abs(beta0) if beta0 != 0 else slope_threshold(first) + 1.0
-    beta, s2, scaled, score_norm, iters = _newton(
-        obj, beta0, s20, beta_scale, opts.max_iterations
-    )
-    converged = scaled < opts.score_tol
+    beta, s2, scaled, score_norm, iters = _newton(obj, beta0, obj.ss0 / obj.k, beta_scale)
+    converged = scaled < SCORE_TOL
 
     floor = 1e-12 * (obj.ss0 / obj.k + np.var(first.y) + 1e-300)
     if s2 <= floor:

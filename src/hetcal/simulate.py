@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import FirstStageData, SecondStageData, Theta
 from .errors import AllReplicatesFailed, CalibrationError
-from .hetero import FitOptions, fit_hetero, variance_x0
+from .hetero import fit_hetero, variance_x0
 from .usual import fit_usual, normal_quantile, variance_usual
 
 
@@ -59,6 +59,15 @@ class ScenarioConfig:
                 f"n={self.n} but x_grid has {self.x_grid.size} and "
                 f"delta_var_rule has {self.delta_var_rule.size} entries"
             )
+        if self.n < 3 or self.k < 2:
+            raise ValueError(f"need n >= 3 and k >= 2, got n={self.n}, k={self.k}")
+        if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
+            raise ValueError("x0, alpha and beta must be finite")
+        dv = self.delta_var_rule
+        if not (0.0 <= self.sigma_eps2_true < math.inf and np.all((0.0 <= dv) & (dv < math.inf))):
+            raise ValueError("sigma_eps2 and delta_var_rule must be nonnegative and finite")
+        if not np.all(np.isfinite(self.x_grid)):
+            raise ValueError("x_grid entries must be finite")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
@@ -155,9 +164,6 @@ class ScenarioSummary:
     n_used: int
 
 
-_FIT_OPTIONS = FitOptions()
-
-
 def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     """Run every replicate of a scenario and collect per-replicate metrics."""
     m = cfg.n_reps
@@ -178,7 +184,7 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
         first, second = generate_dataset(cfg, rng)
         try:
             res_u = fit_usual(first, second, level=cfg.ci_level)
-            res_p = fit_hetero(first, second, _FIT_OPTIONS, level=cfg.ci_level)
+            res_p = fit_hetero(first, second, level=cfg.ci_level)
             if not res_p.converged:
                 raise CalibrationError("no convergence")
         except CalibrationError:

@@ -8,6 +8,7 @@ from hetcal import (
     FirstStageData,
     MismatchedLengths,
     NegativeVariance,
+    NonFiniteValue,
     SecondStageData,
     TooFewReplicates,
     TooFewStandards,
@@ -70,6 +71,17 @@ def test_negative_variance_rejected():
     first = FirstStageData(x_fixed=[0, 1, 2], y=[1, 2, 3], delta_var=[0, -1e-9, 0])
     with pytest.raises(NegativeVariance):
         validate(first, SecondStageData(y0=[1.0, 2.0]))
+
+
+@pytest.mark.parametrize("vector", ["x_fixed", "y", "y0"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected(vector, bad):
+    first, second = minimal_pair()
+    data = {"x_fixed": first.x_fixed.copy(), "y": first.y.copy(), "y0": second.y0.copy()}
+    data[vector][1] = bad
+    with pytest.raises(NonFiniteValue, match=rf"{vector}\[1\]"):
+        validate(FirstStageData(data["x_fixed"], data["y"], first.delta_var),
+                 SecondStageData(data["y0"]))
 
 
 def test_means_tiny_example():

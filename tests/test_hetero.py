@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetcal import (
     FirstStageData,
-    FitOptions,
     NonPositiveVariance,
     SecondStageData,
     SlopeNearZero,
@@ -17,7 +18,8 @@ from hetcal import (
     profile_alpha_x0,
     score_residuals,
 )
-from hetcal.hetero import _initial_point, _ProfiledObjective
+from hetcal import hetero
+from hetcal.hetero import SCORE_TOL, _newton, _ProfiledObjective
 
 from conftest import make_model_dataset, rel_diff
 
@@ -179,13 +181,13 @@ def test_hessian_matches_central_differences_of_scores(analytes):
     datasets += [make_model_dataset(rng)[:2] for _ in range(4)]
     for first, second in datasets:
         obj = _ProfiledObjective(first, second)
-        beta0, s20 = _initial_point(obj, first, second, FitOptions())
+        beta0, s20 = obj.beta_ls, obj.ss0 / obj.k
         for beta, s2 in ((beta0, s20), (1.1 * beta0, 3.0 * s20)):
-            h_bb, h_bs, h_ss = obj.hessian(beta, s2)
+            h_bb, h_bs, h_ss = obj.derivatives(beta, s2)[3:]
             hb, hs = 1e-6 * abs(beta), 1e-6 * s2
             # scores are -(dl/dbeta, 2 dl/ds2)
-            up_b, down_b = obj.scores(beta + hb, s2), obj.scores(beta - hb, s2)
-            up_s, down_s = obj.scores(beta, s2 + hs), obj.scores(beta, s2 - hs)
+            up_b, down_b = obj.derivatives(beta + hb, s2), obj.derivatives(beta - hb, s2)
+            up_s, down_s = obj.derivatives(beta, s2 + hs), obj.derivatives(beta, s2 - hs)
             assert h_bb == pytest.approx(-(up_b[0] - down_b[0]) / (2 * hb), rel=1e-6)
             assert h_bs == pytest.approx(-(up_s[0] - down_s[0]) / (2 * hs), rel=1e-6)
             assert h_bs == pytest.approx(-(up_b[1] - down_b[1]) / (4 * hb), rel=1e-6)
@@ -197,9 +199,8 @@ def test_log_variance_hessian_is_indefinite_at_lead_start(analytes):
     # An indefinite Hessian there is what the Levenberg shift handles.
     first, second = analytes["lead"]
     obj = _ProfiledObjective(first, second)
-    beta, s2 = _initial_point(obj, first, second, FitOptions())
-    h_bb, h_bs, h_ss = obj.hessian(beta, s2)
-    _, r_sigma = obj.scores(beta, s2)
+    beta, s2 = obj.beta_ls, obj.ss0 / obj.k
+    _, r_sigma, _, h_bb, h_bs, h_ss = obj.derivatives(beta, s2)
     h_bv = s2 * h_bs
     h_vv = s2 * s2 * h_ss - 0.5 * s2 * r_sigma
     assert h_bb * h_vv - h_bv * h_bv < 0.0
@@ -379,29 +380,52 @@ def test_noiseless_line_returns_exact_fit():
     assert res.var_x0 == 0.0
 
 
-def test_initial_theta_override_reaches_same_optimum(analytes):
+def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
-    seeded = fit_hetero(
-        first,
-        second,
-        FitOptions(initial_theta=Theta(0.0, 1.1e5, 0.0, 5e4)),
-    )
-    assert seeded.converged
-    assert rel_diff(seeded.theta_hat.beta, base.theta_hat.beta) < 1e-9
-    assert rel_diff(seeded.theta_hat.sigma_eps2, base.theta_hat.sigma_eps2) < 1e-7
+    obj = _ProfiledObjective(first, second)
+    beta, s2, scaled, _, _ = _newton(obj, 1.1e5, 5e4, 1.1e5)
+    assert scaled < SCORE_TOL
+    assert rel_diff(beta, base.theta_hat.beta) < 1e-9
+    assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
 
 
-def test_iteration_cap_reports_nonconvergence(analytes):
-    res = fit_hetero(*analytes["lead"], FitOptions(max_iterations=1))
+def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
+    monkeypatch.setattr(hetero, "MAX_ITERATIONS", 1)
+    res = fit_hetero(*analytes["lead"])
     assert not res.converged
     assert res.iterations == 1
     t = res.theta_hat
     assert all(math.isfinite(v) for v in (t.alpha, t.beta, t.x0, t.sigma_eps2, res.var_x0))
 
 
-def test_fit_options_validation():
-    with pytest.raises(ValueError):
-        FitOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        FitOptions(score_tol=-1e-9)
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    k=st.integers(2, 8),
+    beta=st.floats(0.5, 50.0) | st.floats(-50.0, -0.5),
+    x0=st.floats(0.0, 2.0),
+    sigma_eps2=st.floats(1e-3, 1.0),
+    dv_max=st.floats(0.0, 0.2),
+)
+def test_converged_fit_is_certified_by_public_functions(seed, n, k, beta, x0, sigma_eps2,
+                                                        dv_max):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 2.0, n)
+    dv = rng.uniform(0.0, dv_max, n)
+    noise = math.sqrt(sigma_eps2)
+    y = 1.0 + beta * (x - rng.standard_normal(n) * np.sqrt(dv)) + rng.standard_normal(n) * noise
+    y0 = 1.0 + beta * x0 + rng.standard_normal(k) * noise
+    first, second = FirstStageData(x, y, dv), SecondStageData(y0)
+    res = fit_hetero(first, second)
+    assume(res.converged)
+    t = res.theta_hat
+    values = (t.alpha, t.beta, t.x0, t.sigma_eps2, res.var_x0, res.ci_lower, res.ci_upper,
+              res.expanded_uncertainty, res.log_likelihood, res.score_residual_norm)
+    assert all(math.isfinite(v) for v in values)
+    rb, rs = score_residuals(t, first, second)
+    d = first.y - t.alpha - t.beta * first.x_fixed
+    scale = float(np.sum(np.abs(first.x_fixed * d / gamma(t.beta, t.sigma_eps2, first)))) + 1.0
+    assert max(abs(rb), abs(rs)) < SCORE_TOL * scale
+    assert log_likelihood(t, first, second) == pytest.approx(res.log_likelihood, rel=1e-12)

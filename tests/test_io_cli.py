@@ -206,6 +206,17 @@ def test_cli_fit_input_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("model", ["usual", "proposed", "both"])
+def test_cli_fit_non_finite_cell_exit_1(tmp_path, capsys, model):
+    _, samp = fixture_paths(tmp_path)
+    std = tmp_path / "nan.csv"
+    std.write_text("X,u,Y\n0.0,0.001,0.1\nnan,0.001,2.1\n2.0,0.001,4.1\n")
+    assert main(["fit", "--standards", str(std), "--sample", samp, "--model", model]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "x_fixed[1]" in err
+
+
 def test_cli_fit_nonconvergence_exit_2(tmp_path, capsys, monkeypatch):
     import dataclasses
 
@@ -315,6 +326,15 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     scen.write_text("wrong,header\n1,2\n")
     assert main(["simulate", "--scenarios", str(scen),
                  "--out", str(tmp_path / "o.csv")]) == 1
+    # scenarios that cannot give a fittable dataset are input errors too
+    header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
+    for row in ("5,2,0.8,0.1,2.0,-0.04,10,1", "5,2,0.8,0.1,2.0,nan,10,1",
+                "5,2,nan,0.1,2.0,0.04,10,1", "5,1,0.8,0.1,2.0,0.04,10,1",
+                "2,2,0.8,0.1,2.0,0.04,10,1"):
+        scen.write_text(header + row + "\n")
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1, row
+        assert not out.exists()
     capsys.readouterr()
 
 

@@ -71,12 +71,12 @@ def test_generate_moments_of_preparation_error():
     # with zero response error the residual against the recorded value is
     # -beta * delta, so the preparation error is observable; its first two
     # moments must match the configured variances at three standard errors
-    dv = np.array([0.05, 0.1])
-    cfg = make_scenario(n=2, k=2, x0=0.5, sigma_eps2=0.0, delta_vars=dv,
-                        x_grid=np.array([0.0, 2.0]), n_reps=1, seed=5)
+    dv = np.array([0.05, 0.1, 0.02])
+    cfg = make_scenario(n=3, k=2, x0=0.5, sigma_eps2=0.0, delta_vars=dv,
+                        x_grid=np.array([0.0, 2.0, 1.0]), n_reps=1, seed=5)
     reps = 100_000
     rng = replicate_rng(cfg.seed, 0)
-    deltas = np.empty((reps, 2))
+    deltas = np.empty((reps, 3))
     for r in range(reps):
         first, _ = generate_dataset(cfg, rng)
         resid = first.y - cfg.alpha_true - cfg.beta_true * cfg.x_grid
@@ -97,6 +97,18 @@ def test_config_validation():
         make_scenario(n=5, k=2, x0=0.5, n_reps=0)
     with pytest.raises(ValueError):
         make_scenario(n=5, k=2, x0=0.5, ci_level=1.0)
+    # scenarios that cannot produce a fittable dataset
+    nan, inf = float("nan"), float("inf")
+    bad = [dict(sigma_eps2=-0.04), dict(sigma_eps2=nan), dict(sigma_eps2=inf),
+           dict(x0=nan), dict(x0=inf), dict(alpha=nan), dict(beta=-inf), dict(k=1),
+           dict(n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
+           dict(delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
+           dict(delta_vars=[0.1, nan, 0.1, 0.1, 0.1]),
+           dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0])]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
+    make_scenario(n=5, k=2, x0=0.5, sigma_eps2=0.0)  # noiseless stays valid
 
 
 def test_noiseless_scenario_recovers_exactly():
