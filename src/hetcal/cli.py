@@ -12,6 +12,7 @@ from pathlib import Path
 from . import io as hio
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import fit_hetero
+from .simulate import run_scenario
 from .usual import fit_usual
 
 EXIT_OK = 0
@@ -85,8 +86,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import run_scenario
-
     try:
         configs = hio.parse_scenarios(Path(args.scenarios).read_bytes())
     except OSError as exc:

@@ -13,8 +13,11 @@ convergence is certified afterwards from the score residuals rather than
 trusted from the iteration's own stopping rule.
 
 Each formula is written once (``gamma``, ``_log_likelihood``,
-``_ProfiledObjective.derivatives``, ``_gamma_sums``); the public functions of
-the full parameter vector evaluate those same formulas.
+``_ProfiledObjective.derivatives``, ``fisher_information``); the public
+functions of the full parameter vector evaluate those same formulas.
+``variance_x0`` reads the concentration's entry of the inverse information
+from the matrix's block structure (a delta method on the sample mean and a
+Schur complement in the variance), so it needs no second copy of the matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .data import (
     FirstStageData, FitResult, SecondStageData, Theta, means, slope_threshold, validate,
 )
 from .errors import NonPositiveVariance, SingularInformation, SlopeNearZero
-from .usual import EXPANSION_FACTOR, confidence_interval
+from .usual import _fit_result
 
 MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
 # relative: scaled by the size of the slope-score terms, so that datasets with
@@ -87,20 +90,14 @@ def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData
     return obj.derivatives(theta.beta, theta.sigma_eps2, d)[:2]
 
 
-def _gamma_sums(theta: Theta, first: FirstStageData, k: int):
-    """Weighted sums of the expected information with k readings: of 1, x and
-    x^2 over gamma, and of 1, delta_var and delta_var^2 over gamma^2."""
+def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarray:
+    """Expected information matrix, ordered (alpha, beta, x0, sigma_eps2)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     gam = gamma(theta.beta, theta.sigma_eps2, first)
     x, dv, g2 = first.x_fixed, first.delta_var, gam**2
     terms = (1.0 / gam, x / gam, x * x / gam, 1.0 / g2, dv / g2, dv * dv / g2)
-    return tuple(float(np.sum(t)) for t in terms)
-
-
-def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarray:
-    """Expected information matrix, ordered (alpha, beta, x0, sigma_eps2)."""
-    s1, sx, sxx, t1, td, tdd = _gamma_sums(theta, first, k)
+    s1, sx, sxx, t1, td, tdd = (float(np.sum(t)) for t in terms)
     be, x0, s2 = theta.beta, theta.x0, theta.sigma_eps2
     info = np.zeros((4, 4))
     info[0, 0] = s1 + k / s2
@@ -115,57 +112,40 @@ def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarra
 
 
 def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
-    """Closed-form large-sample variance of the estimated concentration.
+    """Large-sample variance of the estimated concentration: the (x0, x0)
+    entry of the inverse expected information, without forming the matrix.
 
-    Algebraically this is the (x0, x0) entry of the inverse expected
-    information; the expression below evaluates it without forming or
-    inverting the matrix.  The two long alternating sums cancel heavily for
-    steep slopes, so the terms are accumulated with exact summation.
+    x0 enters the likelihood only through the sample mean mu0 = alpha +
+    beta * x0, whose information k / sigma_eps2 is orthogonal to the other
+    parameters.  The delta method on x0 = (mu0 - alpha) / beta then needs
+    only the (alpha, beta) block of the inverse: the inverse of the
+    first-stage (alpha, beta) information once sigma_eps2 is eliminated (its
+    Schur complement).  With weights w = 1 / gamma, ``b`` is 1 / Var(beta);
+    every term in it and in the result is non-negative, so nothing cancels.
     """
     if abs(theta.beta) < slope_threshold(first):
         raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
-    s1, sx, sxx, t1, td, tdd = _gamma_sums(theta, first, k)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     be, x0, s2 = theta.beta, theta.x0, theta.sigma_eps2
-    n = first.n
-    b2 = be * be
-    s4 = s2 * s2
-    s6 = s4 * s2
-
-    e1_terms = (
-        -n * x0 * x0 * s4 * s1 * t1,
-        -n * k * x0 * x0 * s1,
-        -n * s4 * sxx * t1,
-        -n * k * sxx,
-        -2.0 * n * b2 * s4 * tdd * t1,
-        -2.0 * n * k * b2 * tdd,
-        2.0 * n * b2 * s4 * td * td,
-        2.0 * n * x0 * s4 * sx * t1,
-        2.0 * n * k * x0 * sx,
-        s6 * sxx * t1 * s1,
-        k * s2 * sxx * s1,
-        2.0 * b2 * s6 * tdd * t1 * s1,
-        2.0 * k * b2 * s2 * s1 * tdd,
-        -2.0 * b2 * s6 * td * td * s1,
-        -s6 * sx * sx * t1,
-        -k * s2 * sx * sx,
+    w = 1.0 / gamma(be, s2, first)
+    w2 = w * w
+    x, dv = first.x_fixed, first.delta_var
+    s1 = float(np.sum(w))
+    xbar = float(np.sum(x * w)) / s1
+    t1 = float(np.sum(w2))
+    td = float(np.sum(dv * w2))
+    dbar = td / t1
+    # the last term is what eliminating sigma_eps2 leaves of the slope's
+    # information through the preparation-error variances
+    b = float(np.sum((x - xbar) ** 2 * w)) + 2.0 * be * be * (
+        float(np.sum((dv - dbar) ** 2 * w2)) + td * dbar * k / (k + s2 * s2 * t1)
     )
-    e2_terms = (
-        s4 * sxx * t1 * s1,
-        k * sxx * s1,
-        2.0 * s4 * b2 * tdd * t1 * s1,
-        2.0 * k * b2 * tdd * s1,
-        -2.0 * b2 * s4 * td * td * s1,
-        -s4 * sx * sx * t1,
-        -k * sx * sx,
-    )
-    e1 = math.fsum(e1_terms)
-    e2 = math.fsum(e2_terms)
-    e2_scale = math.fsum(abs(t) for t in e2_terms)
-    if abs(e2) <= 1e-12 * e2_scale:
+    if b <= 1e-12 * (b + s1 * xbar * xbar):
         raise SingularInformation(
             "information matrix is numerically singular for this design"
         )
-    return s2 / b2 * (1.0 / n + 1.0 / k - e1 / (n * s2 * e2))
+    return (s2 / k + (b + s1 * (xbar - x0) ** 2) / (s1 * b)) / (be * be)
 
 
 class _ProfiledObjective:
@@ -285,7 +265,7 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
     return (*best, iterations)
 
 
-def _exact_fit(obj: _ProfiledObjective, first, second):
+def _exact_fit(obj: _ProfiledObjective, first, second, level: float):
     """Degenerate noiseless case: the data lie exactly on a line and the
     sample readings are identical, so the likelihood is unbounded at the
     perfect fit with zero response variance.  Return that limit directly
@@ -299,17 +279,8 @@ def _exact_fit(obj: _ProfiledObjective, first, second):
     if ssr > rounding_ss or abs(beta) < slope_threshold(first):
         return None
     alpha, x0 = profile_alpha_x0(beta, first, second)
-    return FitResult(
-        theta_hat=Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=0.0),
-        var_x0=0.0,
-        ci_lower=x0,
-        ci_upper=x0,
-        expanded_uncertainty=0.0,
-        log_likelihood=math.inf,
-        converged=True,
-        iterations=0,
-        score_residual_norm=0.0,
-    )
+    theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=0.0)
+    return _fit_result(theta, 0.0, level, math.inf)
 
 
 def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
@@ -326,7 +297,7 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     validate(first, second)
     obj = _ProfiledObjective(first, second)
     if obj.ss0 <= 0.0:
-        exact = _exact_fit(obj, first, second)
+        exact = _exact_fit(obj, first, second, level)
         if exact is not None:
             return exact
         raise NonPositiveVariance(
@@ -348,16 +319,7 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
 
     alpha, x0 = profile_alpha_x0(beta, first, second)
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
-    var = variance_x0(theta, first, second.k)
-    lo, hi = confidence_interval(x0, var, level)
-    return FitResult(
-        theta_hat=theta,
-        var_x0=var,
-        ci_lower=lo,
-        ci_upper=hi,
-        expanded_uncertainty=EXPANSION_FACTOR * math.sqrt(var),
-        log_likelihood=obj.value(beta, s2),
-        converged=converged,
-        iterations=int(iters),
-        score_residual_norm=float(score_norm),
+    return _fit_result(
+        theta, variance_x0(theta, first, second.k), level, obj.value(beta, s2),
+        converged, int(iters), float(score_norm),
     )

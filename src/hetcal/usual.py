@@ -34,6 +34,26 @@ def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
     return float(x0_hat - half), float(x0_hat + half)
 
 
+def _fit_result(theta: Theta, var_x0: float, level: float, log_likelihood: float,
+                converged: bool = True, iterations: int = 0,
+                score_norm: float = 0.0) -> FitResult:
+    """Fit result at ``theta`` with the interval at ``level`` and the
+    expanded uncertainty that ``var_x0`` implies; both estimators report
+    their uncertainty through it."""
+    lo, hi = confidence_interval(theta.x0, var_x0, level)
+    return FitResult(
+        theta_hat=theta,
+        var_x0=var_x0,
+        ci_lower=lo,
+        ci_upper=hi,
+        expanded_uncertainty=EXPANSION_FACTOR * math.sqrt(var_x0),
+        log_likelihood=log_likelihood,
+        converged=converged,
+        iterations=iterations,
+        score_residual_norm=score_norm,
+    )
+
+
 def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     """Large-sample variance of the estimated concentration under the
     classical model, evaluated at ``theta``.
@@ -85,21 +105,8 @@ def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.9
     sigma_eps2 = (ssr + ss0) / (n + k)
 
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=sigma_eps2)
-    var_x0 = variance_usual(theta, first, k)
-    lo, hi = confidence_interval(x0, var_x0, level)
-
     if sigma_eps2 > 0:
         loglik = -0.5 * (n + k) * (math.log(sigma_eps2) + 1.0)
     else:
         loglik = math.inf  # degenerate noiseless fit
-    return FitResult(
-        theta_hat=theta,
-        var_x0=var_x0,
-        ci_lower=lo,
-        ci_upper=hi,
-        expanded_uncertainty=EXPANSION_FACTOR * math.sqrt(var_x0),
-        log_likelihood=loglik,
-        converged=True,
-        iterations=0,
-        score_residual_norm=0.0,
-    )
+    return _fit_result(theta, variance_usual(theta, first, k), level, loglik)

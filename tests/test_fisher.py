@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcal import (
     FirstStageData,
@@ -15,8 +19,8 @@ from hetcal import (
 from conftest import rel_diff
 
 
-def random_instance(rng):
-    n = int(rng.integers(3, 40))
+def random_instance(rng, n_max=40):
+    n = int(rng.integers(3, n_max))
     k = int(rng.integers(1, 50))
     first = FirstStageData(
         x_fixed=rng.uniform(-2, 5, n),
@@ -78,6 +82,80 @@ def test_closed_form_variance_matches_matrix_inverse():
         v_inverse = float(np.linalg.inv(fisher_information(theta, first, k))[2, 2])
         worst = max(worst, rel_diff(v_closed, v_inverse))
     assert worst < 1e-8
+
+
+def exact_variance_x0(theta, first, k):
+    """(x0, x0) entry of the inverse expected information, in exact rational
+    arithmetic on the float inputs: the matrix is built entry by entry and
+    solved by Gaussian elimination."""
+    be, x0, s2 = (Fraction(float(v)) for v in (theta.beta, theta.x0, theta.sigma_eps2))
+    x = [Fraction(float(v)) for v in first.x_fixed]
+    dv = [Fraction(float(v)) for v in first.delta_var]
+    w = [1 / (s2 + be * be * d) for d in dv]
+    s1, sx, sxx = sum(w), sum(a * b for a, b in zip(x, w)), sum(a * a * b for a, b in zip(x, w))
+    t1 = sum(b * b for b in w)
+    td = sum(d * b * b for d, b in zip(dv, w))
+    tdd = sum(d * d * b * b for d, b in zip(dv, w))
+    info = [
+        [s1 + k / s2, sx + k * x0 / s2, k * be / s2, 0],
+        [sx + k * x0 / s2, sxx + 2 * be * be * tdd + k * x0 * x0 / s2, k * be * x0 / s2, be * td],
+        [k * be / s2, k * be * x0 / s2, k * be * be / s2, 0],
+        [0, be * td, 0, t1 / 2 + k / (2 * s2 * s2)],
+    ]
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == 2))] for i, row in enumerate(info)]
+    for i in range(4):  # positive definite: no pivoting needed
+        for j in range(i + 1, 4):
+            f = rows[j][i] / rows[i][i]
+            rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    v = [Fraction(0)] * 4
+    for i in reversed(range(4)):
+        v[i] = (rows[i][4] - sum(rows[i][j] * v[j] for j in range(i + 1, 4))) / rows[i][i]
+    return float(v[2])
+
+
+def test_closed_form_variance_matches_exact_inverse():
+    rng = np.random.default_rng(5)
+    cases = [random_instance(rng, n_max=21) for _ in range(40)]
+    x = np.array([0.05, 0.11, 0.26, 0.79, 1.05])  # chromium-like steep calibration
+    cases.append((
+        Theta(alpha=124.0, beta=1e5, x0=0.083, sigma_eps2=9.6e4),
+        FirstStageData(x_fixed=x, y=1e5 * x, delta_var=(0.0016 * (1 + 0.5 * x)) ** 2),
+        3,
+    ))
+    # constant concentrations: only the preparation errors identify the slope
+    cases.append((
+        Theta(alpha=0.1, beta=2.0, x0=0.8, sigma_eps2=0.04),
+        FirstStageData(x_fixed=[1.0] * 4, y=[2.1] * 4, delta_var=[0.01] * 4),
+        2,
+    ))
+    for theta, first, k in cases:
+        exact = exact_variance_x0(theta, first, k)
+        assert np.isfinite(exact) and exact > 0
+        assert rel_diff(variance_x0(theta, first, k), exact) < 1e-14
+
+
+nonzero = st.floats(0.1, 10.0) | st.floats(-10.0, -0.1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), a=st.floats(-10.0, 10.0), b=nonzero)
+def test_variance_is_invariant_under_affine_response(seed, a, b):
+    theta, first, k = random_instance(np.random.default_rng(seed), n_max=21)
+    moved = Theta(a + b * theta.alpha, b * theta.beta, theta.x0, b * b * theta.sigma_eps2)
+    first_moved = FirstStageData(first.x_fixed, a + b * first.y, first.delta_var)
+    v = variance_x0(theta, first, k)
+    assert rel_diff(variance_x0(moved, first_moved, k), v) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(-10.0, 10.0), s=nonzero)
+def test_variance_scales_under_concentration_shift_and_scale(seed, c, s):
+    theta, first, k = random_instance(np.random.default_rng(seed), n_max=21)
+    moved = Theta(theta.alpha - theta.beta * c / s, theta.beta / s, c + s * theta.x0,
+                  theta.sigma_eps2)
+    first_moved = FirstStageData(c + s * first.x_fixed, first.y, s * s * first.delta_var)
+    v = variance_x0(theta, first, k)
+    assert rel_diff(variance_x0(moved, first_moved, k), s * s * v) < 1e-12
 
 
 def test_variance_reduces_to_usual_without_preparation_error():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hetcal import (
     FirstStageData,
+    InvalidLevel,
     NonPositiveVariance,
     SecondStageData,
     SlopeNearZero,
@@ -378,6 +379,17 @@ def test_noiseless_line_returns_exact_fit():
     assert res.theta_hat.x0 == pytest.approx(1.0, abs=1e-12)
     assert res.theta_hat.sigma_eps2 == 0.0
     assert res.var_x0 == 0.0
+    assert res.ci_lower == res.ci_upper == res.theta_hat.x0
+
+
+@pytest.mark.parametrize("fit", [fit_usual, fit_hetero])
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
+    exact = (FirstStageData(x_fixed=[0, 1, 2], y=[1, 3, 5], delta_var=[0, 0, 0]),
+             SecondStageData(y0=[3, 3]))
+    for first, second in (exact, analytes["chromium"]):
+        with pytest.raises(InvalidLevel):
+            fit(first, second, level=level)
 
 
 def test_distant_start_reaches_same_optimum(analytes):
