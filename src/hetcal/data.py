@@ -4,10 +4,9 @@ The two-stage data model: the first stage holds the calibration standards
 (nominal concentrations, instrument responses, and the known variance of the
 concentration-preparation error for each standard); the second stage holds
 the replicate responses measured on the unknown sample.  All containers are
-immutable after construction and safe to share across threads.
-
-``validate`` is the input check both estimators run; among other things it
-rejects NaN or infinite concentrations and responses with ``NonFiniteValue``.
+immutable after construction and check their own vectors when built (one
+length, finite values, nonnegative finite ``delta_var``); ``validate`` adds
+what a fit needs: n >= 3, k >= 2 and distinct concentrations.
 """
 
 from __future__ import annotations
@@ -33,6 +32,13 @@ def _as_vector(values) -> np.ndarray:
     return arr
 
 
+def _require(ok: np.ndarray, name: str, vec: np.ndarray, error: type, what: str):
+    """Raise ``error`` naming the first entry of ``vec`` where ``ok`` is false."""
+    if not np.all(ok):
+        bad = int(np.flatnonzero(~ok)[0])
+        raise error(f"{name}[{bad}] = {vec[bad]} is not a {what}")
+
+
 @dataclass(frozen=True, eq=False)
 class FirstStageData:
     """Calibration standards: nominal concentrations ``x_fixed`` (set by the
@@ -48,6 +54,14 @@ class FirstStageData:
         object.__setattr__(self, "x_fixed", _as_vector(self.x_fixed))
         object.__setattr__(self, "y", _as_vector(self.y))
         object.__setattr__(self, "delta_var", _as_vector(self.delta_var))
+        x, y, dv = self.x_fixed, self.y, self.delta_var
+        if y.size != x.size or dv.size != x.size:
+            raise MismatchedLengths(f"first-stage vectors have lengths {x.size}, {y.size}, "
+                                    f"{dv.size}; they must match")
+        _require((dv >= 0) & (dv < np.inf), "delta_var", dv, NegativeVariance,
+                 "nonnegative finite number")
+        _require(np.isfinite(x), "x_fixed", x, NonFiniteValue, "finite number")
+        _require(np.isfinite(y), "y", y, NonFiniteValue, "finite number")
 
     @property
     def n(self) -> int:
@@ -62,6 +76,7 @@ class SecondStageData:
 
     def __post_init__(self):
         object.__setattr__(self, "y0", _as_vector(self.y0))
+        _require(np.isfinite(self.y0), "y0", self.y0, NonFiniteValue, "finite number")
 
     @property
     def k(self) -> int:
@@ -101,33 +116,13 @@ class FitResult:
 
 
 def validate(first: FirstStageData, second: SecondStageData):
-    """Check every container invariant; return the pair unchanged if valid.
-
-    Idempotent and side-effect free.  Raises a typed error naming the first
-    violated invariant otherwise.
-    """
-    n = first.x_fixed.size
-    if first.y.size != n or first.delta_var.size != n:
-        raise MismatchedLengths(
-            f"first-stage vectors have lengths {n}, {first.y.size}, "
-            f"{first.delta_var.size}; they must match"
-        )
-    if n < 3:
-        raise TooFewStandards(f"need at least 3 standards, got {n}")
-    if second.y0.size < 2:
-        raise TooFewReplicates(
-            f"need at least 2 sample readings, got {second.y0.size}"
-        )
-    if np.any(first.delta_var < 0) or not np.all(np.isfinite(first.delta_var)):
-        bad = int(np.flatnonzero(~(first.delta_var >= 0))[0])
-        raise NegativeVariance(
-            f"delta_var[{bad}] = {first.delta_var[bad]} is not a "
-            "nonnegative finite number"
-        )
-    for name, vec in (("x_fixed", first.x_fixed), ("y", first.y), ("y0", second.y0)):
-        if not np.all(np.isfinite(vec)):
-            bad = int(np.flatnonzero(~np.isfinite(vec))[0])
-            raise NonFiniteValue(f"{name}[{bad}] = {vec[bad]} is not a finite number")
+    """Check what a fit needs beyond the containers' own checks: n >= 3,
+    k >= 2 and distinct concentrations.  Returns the pair unchanged or raises
+    a typed error naming the first violated condition."""
+    if first.n < 3:
+        raise TooFewStandards(f"need at least 3 standards, got {first.n}")
+    if second.k < 2:
+        raise TooFewReplicates(f"need at least 2 sample readings, got {second.k}")
     if np.ptp(first.x_fixed) == 0.0:
         raise DegenerateDesign("all standard concentrations are identical")
     return first, second

@@ -216,17 +216,17 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
     by the ratio of the response scale to the intercept scale, so the
     solution is taken to rounding level.  Returns the iterate with the
     smallest scaled score as ``(beta, s2, scaled score, score norm,
-    iterations)``.
+    log-likelihood, iterations)``.
     """
     value = obj.value(beta, s2)
-    best = (beta, s2, math.inf, math.inf)
+    best = (beta, s2, math.inf, math.inf, value)
     iterations = 0
     while True:
         r_beta, r_sigma, scale, h_bb, h_bs, h_ss = obj.derivatives(beta, s2)
         norm = max(abs(r_beta), abs(r_sigma))
         scaled = norm / scale
         if scaled < best[2]:
-            best = (beta, s2, scaled, norm)
+            best = (beta, s2, scaled, norm, value)
         if iterations == MAX_ITERATIONS:
             break
         iterations += 1
@@ -306,7 +306,7 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
         )
     beta0 = obj.beta_ls
     beta_scale = abs(beta0) if beta0 != 0 else slope_threshold(first) + 1.0
-    beta, s2, scaled, score_norm, iters = _newton(obj, beta0, obj.ss0 / obj.k, beta_scale)
+    beta, s2, scaled, score_norm, loglik, iters = _newton(obj, beta0, obj.ss0 / obj.k, beta_scale)
     converged = scaled < SCORE_TOL
 
     floor = 1e-12 * (obj.ss0 / obj.k + np.var(first.y) + 1e-300)
@@ -314,12 +314,9 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
         raise NonPositiveVariance(
             f"response-error variance was driven to the boundary ({s2})"
         )
-    if abs(beta) < slope_threshold(first):
-        raise SlopeNearZero(f"fitted slope {beta} is numerically zero")
-
     alpha, x0 = profile_alpha_x0(beta, first, second)
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
     return _fit_result(
-        theta, variance_x0(theta, first, second.k), level, obj.value(beta, s2),
+        theta, variance_x0(theta, first, second.k), level, loglik,
         converged, int(iters), float(score_norm),
     )

@@ -238,16 +238,18 @@ def render_csv(reports: list[FitReport]) -> str:
     cols = ["analyte", "model", "alpha", "beta", "x0", "var_x0",
             "ci_lower", "ci_upper", "expanded_uncertainty", "converged",
             "iterations", "input_digest"]
-    lines = [",".join(cols)]
+    out = _io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(cols)
     for r in reports:
         v = _report_values(r)
-        lines.append(",".join([
+        writer.writerow([
             v["analyte"], v["model"],
             _full(v["alpha"]), _full(v["beta"]), _full(v["x0"]), _full(v["var_x0"]),
             _full(v["ci"][0]), _full(v["ci"][1]), _full(v["expanded_uncertainty"]),
             str(v["converged"]), str(v["iterations"]), v["input_digest"],
-        ]))
-    return "\n".join(lines) + "\n"
+        ])
+    return out.getvalue()
 
 
 def _sig7(x: float) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FirstStageData, SecondStageData, Theta
+from .data import FirstStageData, SecondStageData, Theta, validate
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import fit_hetero, variance_x0
 from .usual import fit_usual, normal_quantile, variance_usual
@@ -52,22 +52,17 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x_grid", np.asarray(self.x_grid, dtype=float))
-        object.__setattr__(self, "delta_var_rule", np.asarray(self.delta_var_rule, dtype=float))
-        if self.x_grid.size != self.n or self.delta_var_rule.size != self.n:
-            raise ValueError(
-                f"n={self.n} but x_grid has {self.x_grid.size} and "
-                f"delta_var_rule has {self.delta_var_rule.size} entries"
-            )
-        if self.n < 3 or self.k < 2:
-            raise ValueError(f"need n >= 3 and k >= 2, got n={self.n}, k={self.k}")
+        try:  # the data containers and ``validate`` hold the design checks
+            first, _ = validate(FirstStageData(self.x_grid, np.zeros(self.n), self.delta_var_rule),
+                                SecondStageData(np.zeros(self.k)))
+        except CalibrationError as exc:
+            raise ValueError(f"scenario design: {exc}") from exc
+        object.__setattr__(self, "x_grid", first.x_fixed)
+        object.__setattr__(self, "delta_var_rule", first.delta_var)
         if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
             raise ValueError("x0, alpha and beta must be finite")
-        dv = self.delta_var_rule
-        if not (0.0 <= self.sigma_eps2_true < math.inf and np.all((0.0 <= dv) & (dv < math.inf))):
-            raise ValueError("sigma_eps2 and delta_var_rule must be nonnegative and finite")
-        if not np.all(np.isfinite(self.x_grid)):
-            raise ValueError("x_grid entries must be finite")
+        if not 0.0 <= self.sigma_eps2_true < math.inf:
+            raise ValueError("sigma_eps2 must be nonnegative and finite")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
         if not 0.0 < self.ci_level < 1.0:
@@ -180,9 +175,9 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     )
     z = normal_quantile(cfg.ci_level)
     for rep in range(m):
-        rng = replicate_rng(cfg.seed, rep)
-        first, second = generate_dataset(cfg, rng)
         try:
+            # inside the try: a draw that overflows to inf fails its replicate
+            first, second = generate_dataset(cfg, replicate_rng(cfg.seed, rep))
             res_u = fit_usual(first, second, level=cfg.ci_level)
             res_p = fit_hetero(first, second, level=cfg.ci_level)
             if not res_p.converged:

@@ -50,9 +50,10 @@ def test_degenerate_design_rejected():
 
 
 def test_mismatched_lengths_rejected():
-    first = FirstStageData(x_fixed=[0, 1, 2], y=[1, 2], delta_var=[0, 0, 0])
-    with pytest.raises(MismatchedLengths):
-        validate(first, SecondStageData(y0=[1.0, 2.0]))
+    # a length-1 vector would broadcast against the others in the model algebra
+    for y in ([1, 2], [1.0]):
+        with pytest.raises(MismatchedLengths):
+            FirstStageData(x_fixed=[0, 1, 2], y=y, delta_var=[0, 0, 0])
 
 
 def test_too_few_standards_rejected():
@@ -68,9 +69,9 @@ def test_too_few_replicates_rejected():
 
 
 def test_negative_variance_rejected():
-    first = FirstStageData(x_fixed=[0, 1, 2], y=[1, 2, 3], delta_var=[0, -1e-9, 0])
-    with pytest.raises(NegativeVariance):
-        validate(first, SecondStageData(y0=[1.0, 2.0]))
+    for bad in (-1e-9, np.inf, np.nan):
+        with pytest.raises(NegativeVariance, match=r"delta_var\[1\]"):
+            FirstStageData(x_fixed=[0, 1, 2], y=[1, 2, 3], delta_var=[0, bad, 0])
 
 
 @pytest.mark.parametrize("vector", ["x_fixed", "y", "y0"])
@@ -80,8 +81,8 @@ def test_non_finite_value_rejected(vector, bad):
     data = {"x_fixed": first.x_fixed.copy(), "y": first.y.copy(), "y0": second.y0.copy()}
     data[vector][1] = bad
     with pytest.raises(NonFiniteValue, match=rf"{vector}\[1\]"):
-        validate(FirstStageData(data["x_fixed"], data["y"], first.delta_var),
-                 SecondStageData(data["y0"]))
+        FirstStageData(data["x_fixed"], data["y"], first.delta_var)
+        SecondStageData(data["y0"])
 
 
 def test_means_tiny_example():

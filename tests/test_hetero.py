@@ -396,10 +396,11 @@ def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
     obj = _ProfiledObjective(first, second)
-    beta, s2, scaled, _, _ = _newton(obj, 1.1e5, 5e4, 1.1e5)
+    beta, s2, scaled, _, loglik, _ = _newton(obj, 1.1e5, 5e4, 1.1e5)
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
+    assert loglik == obj.value(beta, s2)
 
 
 def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
@@ -411,25 +412,25 @@ def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
     assert all(math.isfinite(v) for v in (t.alpha, t.beta, t.x0, t.sigma_eps2, res.var_x0))
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(3, 12),
-    k=st.integers(2, 8),
-    beta=st.floats(0.5, 50.0) | st.floats(-50.0, -0.5),
-    x0=st.floats(0.0, 2.0),
-    sigma_eps2=st.floats(1e-3, 1.0),
-    dv_max=st.floats(0.0, 0.2),
-)
-def test_converged_fit_is_certified_by_public_functions(seed, n, k, beta, x0, sigma_eps2,
-                                                        dv_max):
-    rng = np.random.default_rng(seed)
+@st.composite
+def model_datasets(draw):
+    """Datasets drawn from the heteroscedastic model on a 0..2 grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(3, 12)), draw(st.integers(2, 8))
+    beta = draw(st.floats(0.5, 50.0) | st.floats(-50.0, -0.5))
+    x0, sigma_eps2 = draw(st.floats(0.0, 2.0)), draw(st.floats(1e-3, 1.0))
     x = np.linspace(0.0, 2.0, n)
-    dv = rng.uniform(0.0, dv_max, n)
+    dv = rng.uniform(0.0, draw(st.floats(0.0, 0.2)), n)
     noise = math.sqrt(sigma_eps2)
     y = 1.0 + beta * (x - rng.standard_normal(n) * np.sqrt(dv)) + rng.standard_normal(n) * noise
     y0 = 1.0 + beta * x0 + rng.standard_normal(k) * noise
-    first, second = FirstStageData(x, y, dv), SecondStageData(y0)
+    return FirstStageData(x, y, dv), SecondStageData(y0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets())
+def test_converged_fit_is_certified_by_public_functions(data):
+    first, second = data
     res = fit_hetero(first, second)
     assume(res.converged)
     t = res.theta_hat
@@ -441,3 +442,28 @@ def test_converged_fit_is_certified_by_public_functions(seed, n, k, beta, x0, si
     scale = float(np.sum(np.abs(first.x_fixed * d / gamma(t.beta, t.sigma_eps2, first)))) + 1.0
     assert max(abs(rb), abs(rs)) < SCORE_TOL * scale
     assert log_likelihood(t, first, second) == pytest.approx(res.log_likelihood, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets(), order_seed=st.integers(0, 2**32 - 1))
+def test_fits_are_invariant_to_the_order_of_standards_and_readings(data, order_seed):
+    # Only the summation order changes, so the fits agree to rounding, not
+    # bitwise.  Where the preparation errors dominate the response variance
+    # the profile is flat in the slope and the maximizer moves by up to 2e-11
+    # relative (worst of 20,000 datasets of this generator at sigma_eps2 =
+    # 1e-3), hence 1e-10.  x0 is a location, so it is compared on the scale
+    # of the standards' span.
+    first, second = data
+    rng = np.random.default_rng(order_seed)
+    p, q = rng.permutation(first.n), rng.permutation(second.k)
+    shuffled = (FirstStageData(first.x_fixed[p], first.y[p], first.delta_var[p]),
+                SecondStageData(second.y0[q]))
+    for fit in (fit_usual, fit_hetero):
+        res, moved = fit(first, second), fit(*shuffled)
+        assume(res.converged)
+        assert moved.converged
+        t, u = res.theta_hat, moved.theta_hat
+        assert rel_diff(t.beta, u.beta) < 1e-10
+        assert rel_diff(t.sigma_eps2, u.sigma_eps2) < 1e-10
+        assert rel_diff(res.var_x0, moved.var_x0) < 1e-10
+        assert abs(t.x0 - u.x0) < 1e-10 * np.ptp(first.x_fixed)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcal import (
+    FirstStageData,
     NegativeUncertainty,
     ParseError,
     TooFewReplicates,
@@ -91,6 +96,21 @@ def test_roundtrip_standards_and_sample(analytes):
         assert np.array_equal(back2.y0, second.y0)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# u stays where u * u neither overflows nor underflows, so sqrt(u * u) == u
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(finite, st.floats(1e-150, 1e150) | st.just(0.0), finite),
+                     min_size=3, max_size=12))
+def test_roundtrip_standards_is_exact(rows):
+    x, u, y = (np.array(col) for col in zip(*rows))
+    first = FirstStageData(x_fixed=x, y=y, delta_var=u * u)
+    back = parse_first_stage(write_first_stage(first))
+    for name in ("x_fixed", "y", "delta_var"):
+        assert getattr(back, name).tobytes() == getattr(first, name).tobytes(), name
+
+
 def test_parse_scenarios_defaults_and_overrides():
     text = (
         "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,x_grid,delta_vars\n"
@@ -168,6 +188,17 @@ def test_cli_fit_json_matches_csv_at_full_precision(tmp_path, capsys):
             "model", "alpha", "beta", "x0", "var_x0", "ci",
             "expanded_uncertainty", "converged", "iterations",
         }
+
+
+@pytest.mark.parametrize("label", ["Cr, run 2", 'Cr "B"', "Cr\nrun 2"])
+def test_cli_fit_csv_quotes_the_label(tmp_path, capsys, label):
+    std, samp = fixture_paths(tmp_path)
+    assert main(["fit", "--standards", std, "--sample", samp, "--format", "csv",
+                 "--label", label]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3
+    assert all(len(row) == 12 for row in rows)
+    assert [row[0] for row in rows[1:]] == [label, label]
 
 
 def test_cli_fit_text_shows_rounded_json_numbers(tmp_path, capsys):
@@ -335,7 +366,23 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1, row
         assert not out.exists()
+    scen.write_text(header.strip() + ",x_grid\n5,2,0.8,0.1,2.0,0.04,10,1,1;1;1;1;1\n")
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1
+    assert not out.exists()
     capsys.readouterr()
+
+
+def test_cli_simulate_overflowing_draws_fail_as_replicates(tmp_path, capsys):
+    # beta * x overflows to inf: every replicate fails and the scenario is
+    # skipped with a warning, not a traceback
+    scen = tmp_path / "huge.csv"
+    scen.write_text("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,x_grid\n"
+                    "5,2,0.8,0.1,1e308,0.04,3,1,2;3;4;5;6\n")
+    out = tmp_path / "s.csv"
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
+    assert "all 3 replicates failed" in capsys.readouterr().err
+    assert out.read_text().count("\n") == 1
 
 
 def test_import_does_not_load_scipy():

@@ -104,7 +104,7 @@ def test_config_validation():
            dict(n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
            dict(delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
            dict(delta_vars=[0.1, nan, 0.1, 0.1, 0.1]),
-           dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0])]
+           dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0]), dict(x_grid=[1.0] * 5)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
