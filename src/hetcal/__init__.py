@@ -13,6 +13,7 @@ from .data import (
     SecondStageData,
     Theta,
     means,
+    profile_alpha_x0,
     validate,
 )
 from .errors import (
@@ -36,7 +37,6 @@ from .hetero import (
     fit_hetero,
     gamma,
     log_likelihood,
-    profile_alpha_x0,
     score_residuals,
     variance_x0,
 )

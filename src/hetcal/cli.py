@@ -47,65 +47,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_fit(args) -> int:
+    fitters = {"usual": fit_usual, "proposed": fit_hetero}
+    models = list(fitters) if args.model == "both" else [args.model]
     try:
         standards_bytes = Path(args.standards).read_bytes()
         sample_bytes = Path(args.sample).read_bytes()
         first = hio.parse_first_stage(standards_bytes)
         second = hio.parse_second_stage(sample_bytes)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CalibrationError as exc:
+        fits = [fitters[model](first, second, level=args.level) for model in models]
+    except (OSError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     label = args.label or Path(args.standards).stem
     digest = hio.input_digest(standards_bytes, sample_bytes)
-    models = ["usual", "proposed"] if args.model == "both" else [args.model]
-    reports = []
-    any_unconverged = False
-    try:
-        for model in models:
-            if model == "usual":
-                fit = fit_usual(first, second, level=args.level)
-            else:
-                fit = fit_hetero(first, second, level=args.level)
-            any_unconverged = any_unconverged or not fit.converged
-            reports.append(
-                hio.FitReport(model=model, analyte_label=label, fit=fit,
-                              input_digest=digest)
-            )
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    reports = [hio.FitReport(model=model, analyte_label=label, fit=fit, input_digest=digest)
+               for model, fit in zip(models, fits)]
     renderer = {"text": hio.render_text, "csv": hio.render_csv,
                 "json": hio.render_json}[args.format]
     sys.stdout.write(renderer(reports))
-    return EXIT_NO_CONVERGENCE if any_unconverged else EXIT_OK
+    return EXIT_OK if all(fit.converged for fit in fits) else EXIT_NO_CONVERGENCE
 
 
 def cmd_simulate(args) -> int:
     try:
-        configs = hio.parse_scenarios(Path(args.scenarios).read_bytes())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    rows = []
-    for cfg in configs:
-        try:
-            summary = run_scenario(cfg)
-        except AllReplicatesFailed as exc:
-            print(f"warning: {exc}; scenario skipped", file=sys.stderr)
-            continue
-        rows.append(hio.summary_row(cfg, summary))
-    try:
+        rows = []
+        for cfg in hio.parse_scenarios(Path(args.scenarios).read_bytes()):
+            try:
+                rows.append(hio.summary_row(cfg, run_scenario(cfg)))
+            except AllReplicatesFailed as exc:
+                print(f"warning: {exc}; scenario skipped", file=sys.stderr)
         Path(args.out).write_text(hio.format_summary_csv(rows))
-    except OSError as exc:
+    except (OSError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK

@@ -6,7 +6,9 @@ concentration-preparation error for each standard); the second stage holds
 the replicate responses measured on the unknown sample.  All containers are
 immutable after construction and check their own vectors when built (one
 length, finite values, nonnegative finite ``delta_var``); ``validate`` adds
-what a fit needs: n >= 3, k >= 2 and distinct concentrations.
+what a fit needs: n >= 3, k >= 2 and distinct concentrations.  Both
+estimators read the intercept and the unknown concentration at their fitted
+slope from ``profile_alpha_x0``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     MismatchedLengths,
     NegativeVariance,
     NonFiniteValue,
+    SlopeNearZero,
     TooFewReplicates,
     TooFewStandards,
 )
@@ -148,3 +151,16 @@ def slope_threshold(first: FirstStageData) -> float:
     if rscale == 0.0 or cscale == 0.0:
         return 1e-12
     return 1e-12 * rscale / cscale
+
+
+def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):
+    """Closed-form intercept and unknown concentration at a given slope.
+
+    The intercept depends only on the slope and the data means; no iteration
+    is involved.  Both estimators invert their fitted line through it.
+    """
+    if abs(beta) < slope_threshold(first):
+        raise SlopeNearZero(f"slope {beta} is numerically zero")
+    xbar, ybar, y0bar = means(first, second)
+    alpha = ybar - beta * xbar
+    return alpha, (y0bar - alpha) / beta

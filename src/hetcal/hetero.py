@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .data import (
-    FirstStageData, FitResult, SecondStageData, Theta, means, slope_threshold, validate,
+    FirstStageData, FitResult, SecondStageData, Theta, profile_alpha_x0, slope_threshold, validate,
 )
 from .errors import NonPositiveVariance, SingularInformation, SlopeNearZero
 from .usual import _fit_result
@@ -61,19 +61,6 @@ def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData)
     r1 = first.y - theta.alpha - theta.beta * first.x_fixed
     r0 = second.y0 - theta.alpha - theta.beta * theta.x0
     return _log_likelihood(gam, r1, np.sum(r0 * r0), second.k, theta.sigma_eps2)
-
-
-def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):
-    """Closed-form intercept and unknown concentration at a given slope.
-
-    The intercept depends only on the slope and the data means; no iteration
-    is involved.
-    """
-    if abs(beta) < slope_threshold(first):
-        raise SlopeNearZero(f"slope {beta} is numerically zero")
-    xbar, ybar, y0bar = means(first, second)
-    alpha = ybar - beta * xbar
-    return alpha, (y0bar - alpha) / beta
 
 
 def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData):
@@ -269,14 +256,15 @@ def _exact_fit(obj: _ProfiledObjective, first, second, level: float):
     """Degenerate noiseless case: the data lie exactly on a line and the
     sample readings are identical, so the likelihood is unbounded at the
     perfect fit with zero response variance.  Return that limit directly
-    when the least-squares residuals are at rounding level; otherwise the
-    variance really is being driven to the boundary and the caller raises.
+    when the least-squares residuals are at rounding level, relative to the
+    size of the responses in whatever unit they come; otherwise the variance
+    really is being driven to the boundary and the caller raises.
     """
     beta = obj.beta_ls
-    ssr = float(np.sum((obj.yc - beta * obj.xc) ** 2))
-    yscale = max(float(np.max(np.abs(obj.yc), initial=0.0)), 1.0)
-    rounding_ss = first.n * (64.0 * np.finfo(float).eps * yscale) ** 2
-    if ssr > rounding_ss or abs(beta) < slope_threshold(first):
+    if abs(beta) < slope_threshold(first):
+        return None  # also covers all-zero responses, which have no size
+    r = (obj.yc - beta * obj.xc) / np.max(np.abs(first.y))
+    if float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2:
         return None
     alpha, x0 = profile_alpha_x0(beta, first, second)
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=0.0)

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io as _io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,21 +105,24 @@ def parse_second_stage(data) -> SecondStageData:
     return SecondStageData(y0=np.asarray(rows, dtype=float)[:, 0])
 
 
-def _full(v) -> str:
-    """Full-precision decimal rendering that round-trips exactly."""
-    return repr(float(v))
+def _csv(header: list[str], rows) -> str:
+    """CSV text with ``\\n`` line ends.  Floats are written as their shortest
+    round-tripping decimal, so every file reads back exactly, and a text cell
+    is quoted when it needs to be."""
+    out = _io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def write_first_stage(first: FirstStageData) -> str:
-    lines = [",".join(STANDARDS_HEADER)]
-    for x, dv, y in zip(first.x_fixed, first.delta_var, first.y):
-        lines.append(f"{_full(x)},{_full(math.sqrt(dv))},{_full(y)}")
-    return "\n".join(lines) + "\n"
+    u = np.sqrt(first.delta_var)
+    return _csv(STANDARDS_HEADER, zip(first.x_fixed.tolist(), u.tolist(), first.y.tolist()))
 
 
 def write_second_stage(second: SecondStageData) -> str:
-    lines = [SAMPLE_HEADER[0]] + [_full(v) for v in second.y0]
-    return "\n".join(lines) + "\n"
+    return _csv(SAMPLE_HEADER, ([v] for v in second.y0.tolist()))
 
 
 def _parse_vector(cell: str) -> np.ndarray:
@@ -187,12 +189,7 @@ def summary_row(cfg: ScenarioConfig, summary: ScenarioSummary) -> list:
 
 def format_summary_csv(rows: list[list]) -> str:
     """Render summary rows at full precision; output is deterministic."""
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(
-            _full(v) if isinstance(v, float) else str(v) for v in row
-        ))
-    return "\n".join(lines) + "\n"
+    return _csv(SUMMARY_COLUMNS, rows)
 
 
 @dataclass(frozen=True)
@@ -238,18 +235,11 @@ def render_csv(reports: list[FitReport]) -> str:
     cols = ["analyte", "model", "alpha", "beta", "x0", "var_x0",
             "ci_lower", "ci_upper", "expanded_uncertainty", "converged",
             "iterations", "input_digest"]
-    out = _io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(cols)
-    for r in reports:
-        v = _report_values(r)
-        writer.writerow([
-            v["analyte"], v["model"],
-            _full(v["alpha"]), _full(v["beta"]), _full(v["x0"]), _full(v["var_x0"]),
-            _full(v["ci"][0]), _full(v["ci"][1]), _full(v["expanded_uncertainty"]),
-            str(v["converged"]), str(v["iterations"]), v["input_digest"],
-        ])
-    return out.getvalue()
+    rows = []
+    for v in map(_report_values, reports):
+        v["ci_lower"], v["ci_upper"] = v["ci"]
+        rows.append([v[c] for c in cols])
+    return _csv(cols, rows)
 
 
 def _sig7(x: float) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 from .data import FirstStageData, SecondStageData, Theta, validate
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import fit_hetero, variance_x0
-from .usual import fit_usual, normal_quantile, variance_usual
+from .usual import fit_usual, variance_usual
 
 
 def default_grid(n: int) -> np.ndarray:
@@ -61,6 +61,8 @@ class ScenarioConfig:
         object.__setattr__(self, "delta_var_rule", first.delta_var)
         if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
             raise ValueError("x0, alpha and beta must be finite")
+        if self.beta_true == 0.0:
+            raise ValueError("beta must be nonzero: the concentration is undefined at zero slope")
         if not 0.0 <= self.sigma_eps2_true < math.inf:
             raise ValueError("sigma_eps2 must be nonnegative and finite")
         if self.n_reps < 1:
@@ -160,42 +162,36 @@ class ScenarioSummary:
 
 
 def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
-    """Run every replicate of a scenario and collect per-replicate metrics."""
-    m = cfg.n_reps
-    table = ReplicateTable(
-        err_usual=np.full(m, np.nan),
-        err_proposed=np.full(m, np.nan),
-        var_usual=np.full(m, np.nan),
-        var_proposed=np.full(m, np.nan),
-        halfwidth_usual=np.full(m, np.nan),
-        halfwidth_proposed=np.full(m, np.nan),
-        covered_usual=np.zeros(m, dtype=bool),
-        covered_proposed=np.zeros(m, dtype=bool),
-        failed=np.zeros(m, dtype=bool),
-    )
-    z = normal_quantile(cfg.ci_level)
-    for rep in range(m):
+    """Run every replicate of a scenario and collect per-replicate metrics.
+
+    Each replicate keeps what its two fits report: the estimate, its
+    variance and its interval.  Errors, half-widths and coverage are then
+    read from those stacked values, so the table measures the interval each
+    fit actually reports; a failed replicate is a row left NaN.
+    """
+    # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
+    reported = np.full((cfg.n_reps, 2, 4), np.nan)
+    for rep in range(cfg.n_reps):
         try:
             # inside the try: a draw that overflows to inf fails its replicate
             first, second = generate_dataset(cfg, replicate_rng(cfg.seed, rep))
-            res_u = fit_usual(first, second, level=cfg.ci_level)
-            res_p = fit_hetero(first, second, level=cfg.ci_level)
-            if not res_p.converged:
+            fits = (fit_usual(first, second, level=cfg.ci_level),
+                    fit_hetero(first, second, level=cfg.ci_level))
+            if not fits[1].converged:
                 raise CalibrationError("no convergence")
         except CalibrationError:
-            table.failed[rep] = True
             continue
-        table.err_usual[rep] = res_u.theta_hat.x0 - cfg.x0_true
-        table.err_proposed[rep] = res_p.theta_hat.x0 - cfg.x0_true
-        table.var_usual[rep] = res_u.var_x0
-        table.var_proposed[rep] = res_p.var_x0
-        hw_u = z * math.sqrt(res_u.var_x0)
-        hw_p = z * math.sqrt(res_p.var_x0)
-        table.halfwidth_usual[rep] = hw_u
-        table.halfwidth_proposed[rep] = hw_p
-        table.covered_usual[rep] = abs(table.err_usual[rep]) <= hw_u
-        table.covered_proposed[rep] = abs(table.err_proposed[rep]) <= hw_p
-    return table
+        reported[rep] = [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
+    x0, var, lo, hi = np.moveaxis(reported, 2, 0)
+    err, halfwidth = x0 - cfg.x0_true, (hi - lo) / 2.0
+    covered = (lo <= cfg.x0_true) & (cfg.x0_true <= hi)
+    return ReplicateTable(
+        err_usual=err[:, 0], err_proposed=err[:, 1],
+        var_usual=var[:, 0], var_proposed=var[:, 1],
+        halfwidth_usual=halfwidth[:, 0], halfwidth_proposed=halfwidth[:, 1],
+        covered_usual=covered[:, 0], covered_proposed=covered[:, 1],
+        failed=np.isnan(reported).any(axis=(1, 2)),
+    )
 
 
 def _aggregate(err, est_var, halfwidth, covered, ok) -> ModelAggregates:
@@ -212,9 +208,9 @@ def theoretical_variances(cfg: ScenarioConfig):
     """Large-sample variances of both estimators at the true parameters."""
     if cfg.sigma_eps2_true == 0.0 and np.all(cfg.delta_var_rule == 0.0):
         return 0.0, 0.0  # noiseless limit: both estimators are exact
-    first = FirstStageData(
-        x_fixed=cfg.x_grid, y=np.zeros(cfg.n), delta_var=cfg.delta_var_rule
-    )
+    # the noiseless responses give the slope check its response scale
+    first = FirstStageData(cfg.x_grid, cfg.alpha_true + cfg.beta_true * cfg.x_grid,
+                           cfg.delta_var_rule)
     theta = Theta(
         alpha=cfg.alpha_true,
         beta=cfg.beta_true,

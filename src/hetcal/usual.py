@@ -13,15 +13,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import FirstStageData, FitResult, SecondStageData, Theta, slope_threshold, validate
-from .errors import InvalidLevel, SlopeNearZero
+from .data import (
+    FirstStageData, FitResult, SecondStageData, Theta, profile_alpha_x0, slope_threshold, validate,
+)
+from .errors import InvalidLevel, NonFiniteValue, SlopeNearZero
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
-
-
-def normal_quantile(level: float) -> float:
-    """Standard normal quantile of a two-sided interval at ``level``."""
-    return NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
 
 
 def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
@@ -30,7 +27,7 @@ def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
         raise InvalidLevel(f"confidence level must be in (0, 1), got {level}")
     if var_x0 < 0:
         raise ValueError(f"var_x0 must be nonnegative, got {var_x0}")
-    half = normal_quantile(level) * math.sqrt(var_x0)
+    half = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0) * math.sqrt(var_x0)
     return float(x0_hat - half), float(x0_hat + half)
 
 
@@ -39,7 +36,11 @@ def _fit_result(theta: Theta, var_x0: float, level: float, log_likelihood: float
                 score_norm: float = 0.0) -> FitResult:
     """Fit result at ``theta`` with the interval at ``level`` and the
     expanded uncertainty that ``var_x0`` implies; both estimators report
-    their uncertainty through it."""
+    their uncertainty through it, and an estimate that overflowed fails
+    here rather than being reported."""
+    if not all(map(math.isfinite, (theta.alpha, theta.beta, theta.x0, theta.sigma_eps2, var_x0))):
+        raise NonFiniteValue(f"the fit is not representable in floating point: {theta}, "
+                             f"var_x0 = {var_x0}")
     lo, hi = confidence_interval(theta.x0, var_x0, level)
     return FitResult(
         theta_hat=theta,
@@ -71,7 +72,7 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     sxx = np.mean((x - xbar) ** 2)
     return float(
         theta.sigma_eps2
-        / theta.beta**2
+        / (theta.beta * theta.beta)
         * (1.0 / k + 1.0 / n + (xbar - theta.x0) ** 2 / (n * sxx))
     )
 
@@ -87,21 +88,12 @@ def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.9
     validate(first, second)
     x, y, y0 = first.x_fixed, first.y, second.y0
     n, k = x.size, y0.size
-    xbar, ybar, y0bar = x.mean(), y.mean(), y0.mean()
-
-    sxx = np.mean((x - xbar) ** 2)
-    sxy = np.mean((x - xbar) * (y - ybar))
-    beta = float(sxy / sxx)
-    if abs(beta) < slope_threshold(first):
-        raise SlopeNearZero(
-            f"fitted slope {beta} is numerically zero; the unknown "
-            "concentration is undefined"
-        )
-    alpha = float(ybar - beta * xbar)
-    x0 = float((y0bar - alpha) / beta)
+    xc = x - x.mean()
+    beta = float(np.mean(xc * (y - y.mean())) / np.mean(xc**2))
+    alpha, x0 = profile_alpha_x0(beta, first, second)
 
     ssr = float(np.sum((y - alpha - beta * x) ** 2))
-    ss0 = float(np.sum((y0 - y0bar) ** 2))
+    ss0 = float(np.sum((y0 - y0.mean()) ** 2))
     sigma_eps2 = (ssr + ss0) / (n + k)
 
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=sigma_eps2)

@@ -382,6 +382,21 @@ def test_noiseless_line_returns_exact_fit():
     assert res.ci_lower == res.ci_upper == res.theta_hat.x0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-14, 2.0**-60, 2.0**60])
+def test_exact_line_is_recognised_in_any_response_unit(scale):
+    # noisy standards with identical sample readings drive the variance to
+    # the boundary, an exact line is the noiseless limit, whatever the unit
+    x = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    dv = np.full(5, 1e-3)
+    second = SecondStageData(y0=np.full(3, scale * 1.7))
+    scatter = np.array([0.03, -0.05, 0.02, 0.04, -0.03])
+    with pytest.raises(NonPositiveVariance):
+        fit_hetero(FirstStageData(x, scale * (0.1 + 2.0 * x + scatter), dv), second)
+    res = fit_hetero(FirstStageData(x, scale * (0.1 + 2.0 * x), dv), second)
+    assert res.converged and res.theta_hat.sigma_eps2 == 0.0 and res.var_x0 == 0.0
+    assert res.theta_hat.x0 == pytest.approx(0.8, rel=1e-14)
+
+
 @pytest.mark.parametrize("fit", [fit_usual, fit_hetero])
 @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, math.nan])
 def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
@@ -467,3 +482,85 @@ def test_fits_are_invariant_to_the_order_of_standards_and_readings(data, order_s
         assert rel_diff(t.sigma_eps2, u.sigma_eps2) < 1e-10
         assert rel_diff(res.var_x0, moved.var_x0) < 1e-10
         assert abs(t.x0 - u.x0) < 1e-10 * np.ptp(first.x_fixed)
+
+
+def _assert_maps_to(moved, beta, sigma_eps2, x0, var_x0, span):
+    """``moved`` equals the mapped estimates to rounding: 1e-10 relative, as
+    in the permutation test.  x0 is a location: it is compared on the
+    standards' span plus its own size, since near 0 a relative test measures
+    cancellation and far outside the standards x0 inherits the slope's
+    relative error."""
+    t = moved.theta_hat
+    assert rel_diff(t.beta, beta) < 1e-10
+    assert rel_diff(t.sigma_eps2, sigma_eps2) < 1e-10
+    assert rel_diff(moved.var_x0, var_x0) < 1e-10
+    assert abs(t.x0 - x0) < 1e-10 * (span + abs(x0))
+
+
+# a change of unit: sign, log2 of the factor, and an offset in the old unit
+unit_changes = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 12.0),
+                         st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets(), unit=unit_changes)
+def test_fits_follow_an_affine_change_of_response_unit(data, unit):
+    # y -> a + b*y: the slope scales by b and the variance by b**2, x0 and
+    # var_x0 stay.  The moved fit's converged flag is not compared: at small
+    # |b| its variance score can read unconverged from rounding alone, which
+    # test_small_response_units_leave_the_fit_converged pins.
+    first, second = data
+    sign, log2_b, shift = unit
+    b = sign * 2.0**log2_b
+    a = b * shift
+    moved = (FirstStageData(first.x_fixed, a + b * first.y, first.delta_var),
+             SecondStageData(a + b * second.y0))
+    for fit in (fit_usual, fit_hetero):
+        res = fit(first, second)
+        assume(res.converged)
+        t = res.theta_hat
+        _assert_maps_to(fit(*moved), b * t.beta, b * b * t.sigma_eps2, t.x0, res.var_x0,
+                        np.ptp(first.x_fixed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets(), unit=unit_changes)
+def test_fits_follow_a_change_of_concentration_origin_and_unit(data, unit):
+    # x -> c + s*x with delta_var -> s**2 * delta_var: the slope scales by
+    # 1/s, x0 maps to c + s*x0 and var_x0 scales by s**2
+    first, second = data
+    sign, log2_s, shift = unit
+    s = sign * 2.0**log2_s
+    c = s * shift
+    moved = (FirstStageData(c + s * first.x_fixed, first.y, s * s * first.delta_var), second)
+    for fit in (fit_usual, fit_hetero):
+        res = fit(first, second)
+        assume(res.converged)
+        t = res.theta_hat
+        mapped = fit(*moved)
+        assert mapped.converged
+        _assert_maps_to(mapped, t.beta / s, t.sigma_eps2, c + s * t.x0, s * s * res.var_x0,
+                        abs(s) * np.ptp(first.x_fixed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets())
+def test_fit_without_preparation_error_reduces_to_fit_usual(data):
+    first, second = data
+    first = FirstStageData(first.x_fixed, first.y, np.zeros(first.n))
+    res = fit_hetero(first, second)
+    assume(res.converged)
+    usual = fit_usual(first, second)
+    u = usual.theta_hat
+    _assert_maps_to(res, u.beta, u.sigma_eps2, u.x0, usual.var_x0, np.ptp(first.x_fixed))
+
+
+@pytest.mark.xfail(strict=True, reason="the variance score is certified against the slope "
+                   "score's scale, so small response units read unconverged (ROADMAP item 4)")
+def test_small_response_units_leave_the_fit_converged(analytes):
+    first, second = analytes["cadmium"]
+    base = fit_hetero(first, second)
+    res = fit_hetero(FirstStageData(first.x_fixed, 1e-8 * first.y, first.delta_var),
+                     SecondStageData(1e-8 * second.y0))
+    assert base.converged
+    assert res.converged

@@ -361,7 +361,7 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
     for row in ("5,2,0.8,0.1,2.0,-0.04,10,1", "5,2,0.8,0.1,2.0,nan,10,1",
                 "5,2,nan,0.1,2.0,0.04,10,1", "5,1,0.8,0.1,2.0,0.04,10,1",
-                "2,2,0.8,0.1,2.0,0.04,10,1"):
+                "2,2,0.8,0.1,2.0,0.04,10,1", "5,2,0.8,0.1,0,0.04,10,1"):
         scen.write_text(header + row + "\n")
         out = tmp_path / "o.csv"
         assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1, row
@@ -383,6 +383,34 @@ def test_cli_simulate_overflowing_draws_fail_as_replicates(tmp_path, capsys):
         assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
     assert "all 3 replicates failed" in capsys.readouterr().err
     assert out.read_text().count("\n") == 1
+
+
+def test_cli_simulate_extreme_slopes_exit_0(tmp_path, capsys):
+    # a tiny slope is a valid scenario with huge but finite variances; a slope
+    # whose square overflows fails every replicate instead of raising
+    scen, out = tmp_path / "slopes.csv", tmp_path / "s.csv"
+    header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
+    scen.write_text(header + "5,2,0.8,0.1,1e-13,0.04,5,1\n")
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 2
+    scen.write_text(header + "5,2,0.8,0.1,1e200,0.04,5,1\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
+    assert "all 5 replicates failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["usual", "proposed", "both"])
+def test_cli_fit_unrepresentable_fit_exit_1(tmp_path, capsys, model):
+    std, samp = tmp_path / "std.csv", tmp_path / "samp.csv"
+    std.write_text("X,u,Y\n0,0.01,1e159\n0.5,0.01,2.1e160\n1,0.01,3.9e160\n"
+                   "1.5,0.01,6.2e160\n2,0.01,8e160\n")
+    samp.write_text("Y0\n3e160\n3.2e160\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["fit", "--standards", str(std), "--sample", str(samp), "--model", model])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_import_does_not_load_scipy():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from hetcal import (
     AllReplicatesFailed,
     default_delta_vars,
     default_grid,
+    fit_hetero,
+    fit_usual,
     generate_dataset,
     make_scenario,
     replicate_rng,
@@ -104,7 +108,8 @@ def test_config_validation():
            dict(n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
            dict(delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
            dict(delta_vars=[0.1, nan, 0.1, 0.1, 0.1]),
-           dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0]), dict(x_grid=[1.0] * 5)]
+           dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0]), dict(x_grid=[1.0] * 5),
+           dict(beta=0.0), dict(beta=-0.0)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
@@ -161,6 +166,34 @@ def test_failures_are_counted_and_excluded():
     table = simulate_replicates(cfg)
     assert np.all(table.failed)
     assert np.all(np.isnan(table.err_proposed))
+
+
+def test_each_replicate_reports_the_interval_of_its_own_fits():
+    # the table reads every replicate's half-width and coverage from the
+    # interval its fits report, not from a second derivation of it
+    cfg = make_scenario(n=5, k=2, x0=0.8, n_reps=60, seed=7)
+    table = simulate_replicates(cfg)
+    assert not table.failed.any()
+    for rep in range(cfg.n_reps):
+        first, second = generate_dataset(cfg, replicate_rng(cfg.seed, rep))
+        for fit, err, var, half, covered in (
+            (fit_usual, table.err_usual, table.var_usual, table.halfwidth_usual,
+             table.covered_usual),
+            (fit_hetero, table.err_proposed, table.var_proposed, table.halfwidth_proposed,
+             table.covered_proposed),
+        ):
+            res = fit(first, second, level=cfg.ci_level)
+            assert err[rep] == res.theta_hat.x0 - cfg.x0_true
+            assert var[rep] == res.var_x0
+            assert half[rep] == (res.ci_upper - res.ci_lower) / 2.0
+            assert covered[rep] == (res.ci_lower <= cfg.x0_true <= res.ci_upper)
+
+
+def test_tiny_slope_gets_finite_theoretical_variances():
+    # the design the variances are evaluated on carries the scenario's own
+    # responses, so the slope is judged against their spread
+    v_u, v_p = theoretical_variances(make_scenario(n=5, k=2, x0=0.8, beta=1e-13, n_reps=1))
+    assert 0.0 < v_u < math.inf and 0.0 < v_p < math.inf
 
 
 def test_accuracy_ladder_trend():

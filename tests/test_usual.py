@@ -6,6 +6,7 @@ import pytest
 from hetcal import (
     FirstStageData,
     InvalidLevel,
+    NonFiniteValue,
     SecondStageData,
     SlopeNearZero,
     Theta,
@@ -156,3 +157,19 @@ def test_flat_responses_raise_slope_near_zero():
     first = FirstStageData(x_fixed=[0, 1, 2], y=[5.0, 5.0, 5.0], delta_var=[0] * 3)
     with pytest.raises(SlopeNearZero):
         fit_usual(first, SecondStageData(y0=[5.0, 5.0]))
+
+
+def test_huge_slope_variance_does_not_overflow():
+    # the slope is squared by multiplication: a float power raised
+    # OverflowError above |beta| of about 1e154
+    first = FirstStageData(x_fixed=[0, 1, 2], y=[0.0, 1e200, 2e200], delta_var=[0] * 3)
+    assert 0.0 <= variance_usual(Theta(0.1, 1e200, 0.8, 0.04), first, 2) < math.inf
+
+
+def test_unrepresentable_fit_raises_non_finite_value():
+    # responses near 1e160: the residual sum of squares overflows to inf
+    x = np.linspace(0.0, 2.0, 5)
+    scatter = np.array([0.03, -0.05, 0.02, 0.04, -0.03])
+    first = FirstStageData(x, 1e160 * (0.1 + 2.0 * x + scatter), np.full(5, 1e-4))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+        fit_usual(first, SecondStageData([3e160, 3.2e160]))
