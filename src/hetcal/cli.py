@@ -46,6 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: building it took about a third of a fit call
+
+
 def cmd_fit(args) -> int:
     fitters = {"usual": fit_usual, "proposed": fit_hetero}
     models = list(fitters) if args.model == "both" else [args.model]
@@ -85,7 +88,7 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "fit":
         return cmd_fit(args)
     return cmd_simulate(args)

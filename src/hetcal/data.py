@@ -4,16 +4,17 @@ The two-stage data model: the first stage holds the calibration standards
 (nominal concentrations, instrument responses, and the known variance of the
 concentration-preparation error for each standard); the second stage holds
 the replicate responses measured on the unknown sample.  All containers are
-immutable after construction and check their own vectors when built (one
-length, finite values, nonnegative finite ``delta_var``); ``validate`` adds
-what a fit needs: n >= 3, k >= 2 and distinct concentrations.  Both
-estimators read the intercept and the unknown concentration at their fitted
-slope from ``profile_alpha_x0``.
+immutable: they keep read-only copies of their vectors, check them when
+built (one length, finite values, nonnegative finite ``delta_var``) and
+summarise them once for both estimators.  ``validate`` adds what a fit
+needs: n >= 3, k >= 2 and distinct concentrations.  Both estimators read the
+intercept and the unknown concentration at their fitted slope from
+``profile_alpha_x0``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +29,18 @@ from .errors import (
 )
 
 
-def _as_vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _vector(values) -> np.ndarray:
+    """A read-only private copy: the container's summaries must stay true."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
+    arr.flags.writeable = False
     return arr
+
+
+def _set(container, **fields):
+    for name, value in fields.items():
+        object.__setattr__(container, name, value)
 
 
 def _require(ok: np.ndarray, name: str, vec: np.ndarray, error: type, what: str):
@@ -47,17 +55,24 @@ class FirstStageData:
     """Calibration standards: nominal concentrations ``x_fixed`` (set by the
     analyst), instrument responses ``y``, and the known preparation-error
     variances ``delta_var`` (one per standard, in squared concentration units).
+
+    Also holds the means ``xbar``, ``ybar``, the centred ``xc``, ``yc`` and
+    ``slope_threshold``, the smallest slope magnitude taken as nonzero; it is
+    relative to the response/concentration spread, so it holds in any unit.
     """
 
     x_fixed: np.ndarray
     y: np.ndarray
     delta_var: np.ndarray
+    xbar: float = field(init=False, repr=False)
+    ybar: float = field(init=False, repr=False)
+    xc: np.ndarray = field(init=False, repr=False)
+    yc: np.ndarray = field(init=False, repr=False)
+    slope_threshold: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_fixed", _as_vector(self.x_fixed))
-        object.__setattr__(self, "y", _as_vector(self.y))
-        object.__setattr__(self, "delta_var", _as_vector(self.delta_var))
-        x, y, dv = self.x_fixed, self.y, self.delta_var
+        x, y, dv = _vector(self.x_fixed), _vector(self.y), _vector(self.delta_var)
+        _set(self, x_fixed=x, y=y, delta_var=dv)
         if y.size != x.size or dv.size != x.size:
             raise MismatchedLengths(f"first-stage vectors have lengths {x.size}, {y.size}, "
                                     f"{dv.size}; they must match")
@@ -65,6 +80,14 @@ class FirstStageData:
                  "nonnegative finite number")
         _require(np.isfinite(x), "x_fixed", x, NonFiniteValue, "finite number")
         _require(np.isfinite(y), "y", y, NonFiniteValue, "finite number")
+        # finite data near the largest float can still overflow a sum or a spread
+        with np.errstate(all="ignore"):
+            xbar, ybar = float(np.sum(x) / x.size), float(np.sum(y) / y.size)
+            xc, yc = x - xbar, y - ybar
+            rscale, cscale = (float(np.ptp(y)), float(np.ptp(x))) if x.size else (0.0, 0.0)
+        xc.flags.writeable = yc.flags.writeable = False
+        _set(self, xbar=xbar, ybar=ybar, xc=xc, yc=yc,
+             slope_threshold=1e-12 * rscale / cscale if rscale and cscale else 1e-12)
 
     @property
     def n(self) -> int:
@@ -73,13 +96,19 @@ class FirstStageData:
 
 @dataclass(frozen=True, eq=False)
 class SecondStageData:
-    """Replicate instrument responses measured on the unknown sample."""
+    """Replicate instrument responses measured on the unknown sample, with
+    their mean ``y0bar`` and their sum of squares about it, ``ss0``."""
 
     y0: np.ndarray
+    y0bar: float = field(init=False, repr=False)
+    ss0: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "y0", _as_vector(self.y0))
-        _require(np.isfinite(self.y0), "y0", self.y0, NonFiniteValue, "finite number")
+        y0 = _vector(self.y0)
+        _require(np.isfinite(y0), "y0", y0, NonFiniteValue, "finite number")
+        with np.errstate(all="ignore"):
+            y0bar = float(np.sum(y0) / y0.size)
+            _set(self, y0=y0, y0bar=y0bar, ss0=float(np.sum((y0 - y0bar) ** 2)))
 
     @property
     def k(self) -> int:
@@ -133,24 +162,7 @@ def validate(first: FirstStageData, second: SecondStageData):
 
 def means(first: FirstStageData, second: SecondStageData):
     """Arithmetic means (x-bar, y-bar, y0-bar) of the three data vectors."""
-    return (
-        float(first.x_fixed.mean()),
-        float(first.y.mean()),
-        float(second.y0.mean()),
-    )
-
-
-def slope_threshold(first: FirstStageData) -> float:
-    """Smallest slope magnitude considered nonzero for this dataset.
-
-    Relative to the response/concentration spread so that one code path
-    survives slopes of order 1e5 and of order 10 alike.
-    """
-    rscale = float(np.ptp(first.y))
-    cscale = float(np.ptp(first.x_fixed))
-    if rscale == 0.0 or cscale == 0.0:
-        return 1e-12
-    return 1e-12 * rscale / cscale
+    return first.xbar, first.ybar, second.y0bar
 
 
 def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):
@@ -159,8 +171,7 @@ def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData
     The intercept depends only on the slope and the data means; no iteration
     is involved.  Both estimators invert their fitted line through it.
     """
-    if abs(beta) < slope_threshold(first):
+    if abs(beta) < first.slope_threshold:
         raise SlopeNearZero(f"slope {beta} is numerically zero")
-    xbar, ybar, y0bar = means(first, second)
-    alpha = ybar - beta * xbar
-    return alpha, (y0bar - alpha) / beta
+    alpha = first.ybar - beta * first.xbar
+    return alpha, (second.y0bar - alpha) / beta

@@ -12,9 +12,9 @@ Newton iteration on its closed-form gradient and Hessian maximizes it, and
 convergence is certified afterwards from the score residuals rather than
 trusted from the iteration's own stopping rule.
 
-Each formula is written once (``gamma``, ``_log_likelihood``,
-``_ProfiledObjective.derivatives``, ``fisher_information``); the public
-functions of the full parameter vector evaluate those same formulas.
+Each formula is written once (``gamma``, ``_log_likelihood``, ``_derivatives``,
+``fisher_information``); the public functions of the full parameter vector
+evaluate those same formulas.
 ``variance_x0`` reads the concentration's entry of the inverse information
 from the matrix's block structure (a delta method on the sample mean and a
 Schur complement in the variance), so it needs no second copy of the matrix.
@@ -26,15 +26,14 @@ import math
 
 import numpy as np
 
-from .data import (
-    FirstStageData, FitResult, SecondStageData, Theta, profile_alpha_x0, slope_threshold, validate,
-)
-from .errors import NonPositiveVariance, SingularInformation, SlopeNearZero
+from .data import FirstStageData, FitResult, SecondStageData, Theta, profile_alpha_x0, validate
+from .errors import NonFiniteValue, NonPositiveVariance, SingularInformation, SlopeNearZero
 from .usual import _fit_result
 
 MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
-# relative: scaled by the size of the slope-score terms, so that datasets with
-# slopes of order 1e5 and of order 10 share one convergence tolerance
+# relative: each score is scaled by the size of its own terms, so that datasets
+# with slopes of order 1e5 and of order 10, or with responses in any unit,
+# share one convergence tolerance
 SCORE_TOL = 1e-6
 
 
@@ -56,11 +55,14 @@ def _log_likelihood(gam, d, ss0, k, s2) -> float:
 
 
 def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData) -> float:
-    """Log-likelihood of the full parameter vector, up to an additive constant."""
+    """Log-likelihood of the full parameter vector, up to an additive constant.
+
+    The readings' sum of squares is ss0 + k * (y0bar - alpha - beta * x0)**2,
+    which keeps the digits of their spread when they sit far from zero."""
     gam = gamma(theta.beta, theta.sigma_eps2, first)
     r1 = first.y - theta.alpha - theta.beta * first.x_fixed
-    r0 = second.y0 - theta.alpha - theta.beta * theta.x0
-    return _log_likelihood(gam, r1, np.sum(r0 * r0), second.k, theta.sigma_eps2)
+    m0 = second.y0bar - theta.alpha - theta.beta * theta.x0
+    return _log_likelihood(gam, r1, second.ss0 + second.k * m0 * m0, second.k, theta.sigma_eps2)
 
 
 def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData):
@@ -73,8 +75,7 @@ def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData
     value the centering term is the only difference from the raw form.
     """
     d = first.y - theta.alpha - theta.beta * first.x_fixed
-    obj = _ProfiledObjective(first, second)
-    return obj.derivatives(theta.beta, theta.sigma_eps2, d)[:2]
+    return _derivatives(first, second, theta.beta, theta.sigma_eps2, d)[:2]
 
 
 def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarray:
@@ -110,7 +111,7 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     Schur complement).  With weights w = 1 / gamma, ``b`` is 1 / Var(beta);
     every term in it and in the result is non-negative, so nothing cancels.
     """
-    if abs(theta.beta) < slope_threshold(first):
+    if abs(theta.beta) < first.slope_threshold:
         raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -119,6 +120,8 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     w2 = w * w
     x, dv = first.x_fixed, first.delta_var
     s1 = float(np.sum(w))
+    if not s1 > 0.0:  # beta * beta overflowed, so every weight vanished
+        raise NonFiniteValue(f"the variance is not representable in floating point: slope {be}")
     xbar = float(np.sum(x * w)) / s1
     t1 = float(np.sum(w2))
     td = float(np.sum(dv * w2))
@@ -135,63 +138,52 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     return (s2 / k + (b + s1 * (xbar - x0) ** 2) / (s1 * b)) / (be * be)
 
 
-class _ProfiledObjective:
-    """Profiled log-likelihood over (slope, response variance) with the data
-    sums precomputed; all evaluations share centered copies of the data."""
-
-    def __init__(self, first: FirstStageData, second: SecondStageData):
-        x, y, y0 = first.x_fixed, first.y, second.y0
-        self.first = first
-        self.x = x
-        self.xc = x - x.mean()
-        self.yc = y - y.mean()
-        self.dv = first.delta_var
-        self.ss0 = float(np.sum((y0 - y0.mean()) ** 2))
-        self.k = y0.size
-        # first-stage least-squares slope: the Newton start and the slope of
-        # an exactly linear noiseless dataset
-        self.beta_ls = float(np.sum(self.xc * self.yc) / np.sum(self.xc * self.xc))
-
-    def value(self, beta: float, s2: float) -> float:
-        if s2 <= 0 or not np.isfinite(s2) or not np.isfinite(beta):
-            return -math.inf
-        gam = gamma(beta, s2, self.first)
-        return _log_likelihood(gam, self.yc - beta * self.xc, self.ss0, self.k, s2)
-
-    def derivatives(self, beta: float, s2: float, d=None):
-        """Scores, score scale and Hessian at (beta, s2), from one evaluation.
-
-        Returns ``(r_beta, r_sigma, scale, h_bb, h_bs, h_ss)``: the scores
-        -(dl/dbeta, 2 dl/ds2) of ``value``, the size of the slope-score terms
-        (sum of |X_i d_i / gamma_i|, plus one) and the second derivatives of
-        ``value`` in (slope, variance).  ``d`` are the first-stage residuals;
-        by default the centered ones at the profiled intercept.
-        """
-        gam = gamma(beta, s2, self.first)
-        if d is None:
-            d = self.yc - beta * self.xc
-        g2 = gam * gam
-        dd = d * d
-        xcd = self.xc * d
-        w = (gam - dd) / g2
-        u = (gam - 2.0 * dd) / gam**3
-        xd = xcd / g2
-        dvw = float(np.sum(self.dv * w))
-        r_beta = beta * dvw - float(np.sum(xcd / gam))
-        r_sigma = float(np.sum(w)) - (self.ss0 / (s2 * s2) - self.k / s2)
-        scale = float(np.sum(np.abs(self.x * d / gam))) + 1.0
-        h_bb = (
-            -dvw
-            + 2.0 * beta * beta * float(np.sum(self.dv * self.dv * u))
-            - float(np.sum(self.xc * self.xc / gam))
-            - 4.0 * beta * float(np.sum(self.dv * xd))
-        )
-        h_bs = beta * float(np.sum(self.dv * u)) - float(np.sum(xd))
-        h_ss = 0.5 * float(np.sum(u)) + 0.5 * self.k / (s2 * s2) - self.ss0 / s2**3
-        return r_beta, r_sigma, scale, h_bb, h_bs, h_ss
+def _value(first, second, beta: float, s2: float) -> float:
+    """Profiled log-likelihood over (slope, response variance)."""
+    if s2 <= 0 or not np.isfinite(s2) or not np.isfinite(beta):
+        return -math.inf
+    gam = gamma(beta, s2, first)
+    return _log_likelihood(gam, first.yc - beta * first.xc, second.ss0, second.k, s2)
 
 
-def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
+def _derivatives(first, second, beta: float, s2: float, d=None):
+    """Scores, scaled score and Hessian at (beta, s2), from one evaluation.
+
+    Returns ``(r_beta, r_sigma, scaled, h_bb, h_bs, h_ss)``: the scores
+    -(dl/dbeta, 2 dl/ds2) of ``_value``, the larger of the two scores each
+    over the size of its own terms (sum |X_i d_i / gamma_i| + 1 for the
+    slope; sum |w_i| + ss0 / s2**2 + k / s2 for the variance, which is in
+    units of 1 / s2) and the second derivatives of ``_value`` in (slope,
+    variance).  ``d`` are the first-stage residuals; by default the centered
+    ones at the profiled intercept.
+    """
+    gam = gamma(beta, s2, first)
+    if d is None:
+        d = first.yc - beta * first.xc
+    xc, dv, ss0, k = first.xc, first.delta_var, second.ss0, second.k
+    g2 = gam * gam
+    dd = d * d
+    xcd = xc * d
+    w = (gam - dd) / g2
+    u = (gam - 2.0 * dd) / gam**3
+    xd = xcd / g2
+    dvw = float(np.sum(dv * w))
+    r_beta = beta * dvw - float(np.sum(xcd / gam))
+    r_sigma = float(np.sum(w)) - (ss0 / (s2 * s2) - k / s2)
+    scaled = max(abs(r_beta) / (float(np.sum(np.abs(first.x_fixed * d / gam))) + 1.0),
+                 abs(r_sigma) / (float(np.sum(np.abs(w))) + ss0 / (s2 * s2) + k / s2))
+    h_bb = (
+        -dvw
+        + 2.0 * beta * beta * float(np.sum(dv * dv * u))
+        - float(np.sum(xc * xc / gam))
+        - 4.0 * beta * float(np.sum(dv * xd))
+    )
+    h_bs = beta * float(np.sum(dv * u)) - float(np.sum(xd))
+    h_ss = 0.5 * float(np.sum(u)) + 0.5 * k / (s2 * s2) - ss0 / s2**3
+    return r_beta, r_sigma, scaled, h_bb, h_bs, h_ss
+
+
+def _newton(first, second, beta: float, s2: float, beta_scale: float):
     """Safeguarded Newton ascent on the profiled log-likelihood, stepping in
     (beta / beta_scale, log s2).
 
@@ -205,15 +197,13 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
     smallest scaled score as ``(beta, s2, scaled score, score norm,
     log-likelihood, iterations)``.
     """
-    value = obj.value(beta, s2)
+    value = _value(first, second, beta, s2)
     best = (beta, s2, math.inf, math.inf, value)
     iterations = 0
     while True:
-        r_beta, r_sigma, scale, h_bb, h_bs, h_ss = obj.derivatives(beta, s2)
-        norm = max(abs(r_beta), abs(r_sigma))
-        scaled = norm / scale
+        r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2)
         if scaled < best[2]:
-            best = (beta, s2, scaled, norm, value)
+            best = (beta, s2, scaled, max(abs(r_beta), abs(r_sigma)), value)
         if iterations == MAX_ITERATIONS:
             break
         iterations += 1
@@ -240,7 +230,7 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
         while True:
             step = t * max(abs(du), abs(dv))
             beta_new, s2_new = beta + beta_scale * t * du, s2 * math.exp(t * dv)
-            value_new = obj.value(beta_new, s2_new)
+            value_new = _value(first, second, beta_new, s2_new)
             if value_new >= lowest or step < 1e-14:
                 break
             t *= 0.5
@@ -252,7 +242,7 @@ def _newton(obj: _ProfiledObjective, beta: float, s2: float, beta_scale: float):
     return (*best, iterations)
 
 
-def _exact_fit(obj: _ProfiledObjective, first, second, level: float):
+def _exact_fit(first, second, beta: float, level: float):
     """Degenerate noiseless case: the data lie exactly on a line and the
     sample readings are identical, so the likelihood is unbounded at the
     perfect fit with zero response variance.  Return that limit directly
@@ -260,10 +250,9 @@ def _exact_fit(obj: _ProfiledObjective, first, second, level: float):
     size of the responses in whatever unit they come; otherwise the variance
     really is being driven to the boundary and the caller raises.
     """
-    beta = obj.beta_ls
-    if abs(beta) < slope_threshold(first):
+    if abs(beta) < first.slope_threshold:
         return None  # also covers all-zero responses, which have no size
-    r = (obj.yc - beta * obj.xc) / np.max(np.abs(first.y))
+    r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
     if float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2:
         return None
     alpha, x0 = profile_alpha_x0(beta, first, second)
@@ -283,21 +272,27 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     ``iterations`` counts Newton steps, at most ``MAX_ITERATIONS``.
     """
     validate(first, second)
-    obj = _ProfiledObjective(first, second)
-    if obj.ss0 <= 0.0:
-        exact = _exact_fit(obj, first, second, level)
+    # first-stage least-squares slope: the Newton start and the slope of an
+    # exactly linear noiseless dataset
+    beta0 = float(np.sum(first.xc * first.yc) / np.sum(first.xc * first.xc))
+    if second.ss0 <= 0.0:
+        exact = _exact_fit(first, second, beta0, level)
         if exact is not None:
             return exact
         raise NonPositiveVariance(
             "second-stage responses are all identical; the response-error "
             "variance estimate would be driven to zero"
         )
-    beta0 = obj.beta_ls
-    beta_scale = abs(beta0) if beta0 != 0 else slope_threshold(first) + 1.0
-    beta, s2, scaled, score_norm, loglik, iters = _newton(obj, beta0, obj.ss0 / obj.k, beta_scale)
+    beta_scale = abs(beta0) if beta0 != 0 else first.slope_threshold + 1.0
+    s2_0 = second.ss0 / second.k
+    try:
+        beta, s2, scaled, norm, loglik, iters = _newton(first, second, beta0, s2_0, beta_scale)
+    except ArithmeticError as exc:  # Python-float powers of s2 overflow or reach zero
+        raise NonFiniteValue("the fit is not representable in floating point: powers of the "
+                             f"response-error variance leave the float range ({exc})") from exc
     converged = scaled < SCORE_TOL
 
-    floor = 1e-12 * (obj.ss0 / obj.k + np.var(first.y) + 1e-300)
+    floor = 1e-12 * (s2_0 + np.var(first.y) + 1e-300)
     if s2 <= floor:
         raise NonPositiveVariance(
             f"response-error variance was driven to the boundary ({s2})"
@@ -306,5 +301,5 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
     return _fit_result(
         theta, variance_x0(theta, first, second.k), level, loglik,
-        converged, int(iters), float(score_norm),
+        converged, int(iters), float(norm),
     )

@@ -250,28 +250,14 @@ def render_text(reports: list[FitReport]) -> str:
     """Row-per-parameter table, one column per fitted model."""
     if not reports:
         return "no fits\n"
-    labels = ["alpha", "beta", "x0", "var_x0", "U(x0)"]
-    out = []
-    analyte = reports[0].analyte_label
-    out.append(f"analyte: {analyte}")
-    header = f"{'parameter':>12s}" + "".join(f"{r.model:>16s}" for r in reports)
-    out.append(header)
-    rows = {
-        "alpha": [r.fit.theta_hat.alpha for r in reports],
-        "beta": [r.fit.theta_hat.beta for r in reports],
-        "x0": [r.fit.theta_hat.x0 for r in reports],
-        "var_x0": [r.fit.var_x0 for r in reports],
-        "U(x0)": [r.fit.expanded_uncertainty for r in reports],
-    }
-    for label in labels:
-        out.append(
-            f"{label:>12s}" + "".join(f"{_sig7(v):>16s}" for v in rows[label])
-        )
-    ci_line = f"{'ci':>12s}" + "".join(
-        f"  [{_sig7(r.fit.ci_lower)}, {_sig7(r.fit.ci_upper)}]" for r in reports
-    )
-    out.append(ci_line)
-    conv = f"{'converged':>12s}" + "".join(f"{str(r.fit.converged):>16s}" for r in reports)
-    out.append(conv)
-    out.append(f"input digest: {reports[0].input_digest}")
+    values = [_report_values(r) for r in reports]
+    out = [f"analyte: {values[0]['analyte']}",
+           f"{'parameter':>12s}" + "".join(f"{v['model']:>16s}" for v in values)]
+    for label, key in (("alpha", "alpha"), ("beta", "beta"), ("x0", "x0"), ("var_x0", "var_x0"),
+                       ("U(x0)", "expanded_uncertainty")):
+        out.append(f"{label:>12s}" + "".join(f"{_sig7(v[key]):>16s}" for v in values))
+    out.append(f"{'ci':>12s}" + "".join(f"  [{_sig7(v['ci'][0])}, {_sig7(v['ci'][1])}]"
+                                         for v in values))
+    out.append(f"{'converged':>12s}" + "".join(f"{str(v['converged']):>16s}" for v in values))
+    out.append(f"input digest: {values[0]['input_digest']}")
     return "\n".join(out) + "\n"

@@ -52,17 +52,24 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
+            raise ValueError("x0, alpha and beta must be finite")
+        # the noiseless responses, as in theoretical_variances; overflowed ones are
+        # capped, and such a scenario's draws fail replicate by replicate
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.nan_to_num(self.alpha_true + self.beta_true * np.asarray(self.x_grid, float))
         try:  # the data containers and ``validate`` hold the design checks
-            first, _ = validate(FirstStageData(self.x_grid, np.zeros(self.n), self.delta_var_rule),
+            first, _ = validate(FirstStageData(self.x_grid, y, self.delta_var_rule),
                                 SecondStageData(np.zeros(self.k)))
         except CalibrationError as exc:
             raise ValueError(f"scenario design: {exc}") from exc
+        if first.n != self.n:
+            raise ValueError(f"scenario design: x_grid has {first.n} entries, n is {self.n}")
         object.__setattr__(self, "x_grid", first.x_fixed)
         object.__setattr__(self, "delta_var_rule", first.delta_var)
-        if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
-            raise ValueError("x0, alpha and beta must be finite")
-        if self.beta_true == 0.0:
-            raise ValueError("beta must be nonzero: the concentration is undefined at zero slope")
+        if abs(self.beta_true) < first.slope_threshold:
+            raise ValueError(f"beta = {self.beta_true} is numerically zero against alpha on "
+                             "the grid: the concentration is undefined at zero slope")
         if not 0.0 <= self.sigma_eps2_true < math.inf:
             raise ValueError("sigma_eps2 must be nonnegative and finite")
         if self.n_reps < 1:

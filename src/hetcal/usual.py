@@ -13,9 +13,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import (
-    FirstStageData, FitResult, SecondStageData, Theta, profile_alpha_x0, slope_threshold, validate,
-)
+from .data import FirstStageData, FitResult, SecondStageData, Theta, profile_alpha_x0, validate
 from .errors import InvalidLevel, NonFiniteValue, SlopeNearZero
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
@@ -64,16 +62,14 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if abs(theta.beta) < slope_threshold(first):
+    if abs(theta.beta) < first.slope_threshold:
         raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
-    x = first.x_fixed
-    n = x.size
-    xbar = x.mean()
-    sxx = np.mean((x - xbar) ** 2)
+    n = first.n
+    sxx = np.mean(first.xc**2)
     return float(
         theta.sigma_eps2
         / (theta.beta * theta.beta)
-        * (1.0 / k + 1.0 / n + (xbar - theta.x0) ** 2 / (n * sxx))
+        * (1.0 / k + 1.0 / n + (first.xbar - theta.x0) ** 2 / (n * sxx))
     )
 
 
@@ -86,15 +82,12 @@ def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.9
     estimate (divisor n + k).
     """
     validate(first, second)
-    x, y, y0 = first.x_fixed, first.y, second.y0
-    n, k = x.size, y0.size
-    xc = x - x.mean()
-    beta = float(np.mean(xc * (y - y.mean())) / np.mean(xc**2))
+    n, k = first.n, second.k
+    beta = float(np.mean(first.xc * first.yc) / np.mean(first.xc**2))
     alpha, x0 = profile_alpha_x0(beta, first, second)
 
-    ssr = float(np.sum((y - alpha - beta * x) ** 2))
-    ss0 = float(np.sum((y0 - y0.mean()) ** 2))
-    sigma_eps2 = (ssr + ss0) / (n + k)
+    ssr = float(np.sum((first.y - alpha - beta * first.x_fixed) ** 2))
+    sigma_eps2 = (ssr + second.ss0) / (n + k)
 
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=sigma_eps2)
     if sigma_eps2 > 0:

@@ -1,7 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from hetcal import FirstStageData, SecondStageData
 from hetcal.fixtures import ANALYTES, load_analyte
@@ -61,3 +63,18 @@ def make_model_dataset(rng, n=None, k=None, heteroscedastic=True):
     second = SecondStageData(y0=y0)
     truth = dict(alpha=alpha, beta=beta, x0=x0, sigma_eps2=sigma_eps2)
     return first, second, truth
+
+
+@st.composite
+def model_datasets(draw):
+    """Datasets drawn from the heteroscedastic model on a 0..2 grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(3, 12)), draw(st.integers(2, 8))
+    beta = draw(st.floats(0.5, 50.0) | st.floats(-50.0, -0.5))
+    x0, sigma_eps2 = draw(st.floats(0.0, 2.0)), draw(st.floats(1e-3, 1.0))
+    x = np.linspace(0.0, 2.0, n)
+    dv = rng.uniform(0.0, draw(st.floats(0.0, 0.2)), n)
+    noise = math.sqrt(sigma_eps2)
+    y = 1.0 + beta * (x - rng.standard_normal(n) * np.sqrt(dv)) + rng.standard_normal(n) * noise
+    y0 = 1.0 + beta * x0 + rng.standard_normal(k) * noise
+    return FirstStageData(x, y, dv), SecondStageData(y0)

@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hetcal import (
     DegenerateDesign,
@@ -12,9 +14,13 @@ from hetcal import (
     SecondStageData,
     TooFewReplicates,
     TooFewStandards,
+    fit_hetero,
+    fit_usual,
     means,
     validate,
 )
+
+from conftest import model_datasets
 
 
 def minimal_pair():
@@ -120,3 +126,39 @@ def test_containers_are_immutable():
         first.x_fixed = np.zeros(3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         second.y0 = np.zeros(2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets())
+def test_stored_statistics_equal_a_fresh_recomputation(data):
+    first, second = data
+    x, y, y0 = first.x_fixed, first.y, second.y0
+    assert first.xbar == float(x.mean()) and first.ybar == float(y.mean())
+    assert np.array_equal(first.xc, x - x.mean()) and np.array_equal(first.yc, y - y.mean())
+    assert first.slope_threshold == 1e-12 * float(np.ptp(y)) / float(np.ptp(x))
+    assert second.y0bar == float(y0.mean())
+    assert second.ss0 == float(np.sum((y0 - y0.mean()) ** 2))
+
+
+def test_container_vectors_are_read_only():
+    first, second = minimal_pair()
+    for vec in (first.x_fixed, first.y, first.delta_var, first.xc, first.yc, second.y0):
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+
+
+def test_containers_copy_the_callers_arrays():
+    x, y, dv = np.linspace(0.0, 2.0, 5), np.array([0.2, 1.1, 2.0, 3.2, 3.9]), np.full(5, 1e-3)
+    y0 = np.array([1.7, 1.9, 1.8])
+    first, second = FirstStageData(x, y, dv), SecondStageData(y0)
+    before = [fit(first, second) for fit in (fit_usual, fit_hetero)]
+    for arr in (x, y, dv, y0):
+        arr *= 3.0
+    assert [fit(first, second) for fit in (fit_usual, fit_hetero)] == before
+
+
+def test_building_a_container_near_the_float_limit_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        FirstStageData([-1e308, 0.0, 1.7e308], [1.7e308, -1.7e308, 1e308], [0.0, 0.0, 0.0])
+        SecondStageData([1.7e308, 1.6e308, -1.7e308])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from hetcal import (
     FirstStageData,
     InvalidLevel,
+    NonFiniteValue,
     NonPositiveVariance,
     SecondStageData,
     SlopeNearZero,
@@ -20,9 +21,14 @@ from hetcal import (
     score_residuals,
 )
 from hetcal import hetero
-from hetcal.hetero import SCORE_TOL, _newton, _ProfiledObjective
+from hetcal.hetero import SCORE_TOL, _derivatives, _newton, _value
 
-from conftest import make_model_dataset, rel_diff
+from conftest import make_model_dataset, model_datasets, rel_diff
+
+
+def least_squares_slope(first):
+    """The first-stage least-squares slope, where ``fit_hetero`` starts."""
+    return float(np.sum(first.xc * first.yc) / np.sum(first.xc * first.xc))
 
 
 def linear_grid_design(n=5):
@@ -181,14 +187,15 @@ def test_hessian_matches_central_differences_of_scores(analytes):
     datasets = list(analytes.values())
     datasets += [make_model_dataset(rng)[:2] for _ in range(4)]
     for first, second in datasets:
-        obj = _ProfiledObjective(first, second)
-        beta0, s20 = obj.beta_ls, obj.ss0 / obj.k
+        beta0, s20 = least_squares_slope(first), second.ss0 / second.k
         for beta, s2 in ((beta0, s20), (1.1 * beta0, 3.0 * s20)):
-            h_bb, h_bs, h_ss = obj.derivatives(beta, s2)[3:]
+            h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2)[3:]
             hb, hs = 1e-6 * abs(beta), 1e-6 * s2
             # scores are -(dl/dbeta, 2 dl/ds2)
-            up_b, down_b = obj.derivatives(beta + hb, s2), obj.derivatives(beta - hb, s2)
-            up_s, down_s = obj.derivatives(beta, s2 + hs), obj.derivatives(beta, s2 - hs)
+            up_b = _derivatives(first, second, beta + hb, s2)
+            down_b = _derivatives(first, second, beta - hb, s2)
+            up_s = _derivatives(first, second, beta, s2 + hs)
+            down_s = _derivatives(first, second, beta, s2 - hs)
             assert h_bb == pytest.approx(-(up_b[0] - down_b[0]) / (2 * hb), rel=1e-6)
             assert h_bs == pytest.approx(-(up_s[0] - down_s[0]) / (2 * hs), rel=1e-6)
             assert h_bs == pytest.approx(-(up_b[1] - down_b[1]) / (4 * hb), rel=1e-6)
@@ -199,9 +206,8 @@ def test_log_variance_hessian_is_indefinite_at_lead_start(analytes):
     # The solver steps in (beta, log s2), where d2l/dv2 = s2^2 h_ss + s2 dl/ds2.
     # An indefinite Hessian there is what the Levenberg shift handles.
     first, second = analytes["lead"]
-    obj = _ProfiledObjective(first, second)
-    beta, s2 = obj.beta_ls, obj.ss0 / obj.k
-    _, r_sigma, _, h_bb, h_bs, h_ss = obj.derivatives(beta, s2)
+    beta, s2 = least_squares_slope(first), second.ss0 / second.k
+    _, r_sigma, _, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2)
     h_bv = s2 * h_bs
     h_vv = s2 * s2 * h_ss - 0.5 * s2 * r_sigma
     assert h_bb * h_vv - h_bv * h_bv < 0.0
@@ -410,12 +416,11 @@ def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
 def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
-    obj = _ProfiledObjective(first, second)
-    beta, s2, scaled, _, loglik, _ = _newton(obj, 1.1e5, 5e4, 1.1e5)
+    beta, s2, scaled, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5)
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
-    assert loglik == obj.value(beta, s2)
+    assert loglik == _value(first, second, beta, s2)
 
 
 def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
@@ -425,21 +430,6 @@ def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
     assert res.iterations == 1
     t = res.theta_hat
     assert all(math.isfinite(v) for v in (t.alpha, t.beta, t.x0, t.sigma_eps2, res.var_x0))
-
-
-@st.composite
-def model_datasets(draw):
-    """Datasets drawn from the heteroscedastic model on a 0..2 grid."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, k = draw(st.integers(3, 12)), draw(st.integers(2, 8))
-    beta = draw(st.floats(0.5, 50.0) | st.floats(-50.0, -0.5))
-    x0, sigma_eps2 = draw(st.floats(0.0, 2.0)), draw(st.floats(1e-3, 1.0))
-    x = np.linspace(0.0, 2.0, n)
-    dv = rng.uniform(0.0, draw(st.floats(0.0, 0.2)), n)
-    noise = math.sqrt(sigma_eps2)
-    y = 1.0 + beta * (x - rng.standard_normal(n) * np.sqrt(dv)) + rng.standard_normal(n) * noise
-    y0 = 1.0 + beta * x0 + rng.standard_normal(k) * noise
-    return FirstStageData(x, y, dv), SecondStageData(y0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -457,6 +447,55 @@ def test_converged_fit_is_certified_by_public_functions(data):
     scale = float(np.sum(np.abs(first.x_fixed * d / gamma(t.beta, t.sigma_eps2, first)))) + 1.0
     assert max(abs(rb), abs(rs)) < SCORE_TOL * scale
     assert log_likelihood(t, first, second) == pytest.approx(res.log_likelihood, rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=model_datasets())
+def test_converged_fit_has_each_score_small_against_its_own_terms(data):
+    # the variance score r_sigma = sum(w) - ss0 / s2**2 + k / s2 is judged
+    # against the sum of the sizes of those terms, the slope score against
+    # its own; public functions only
+    first, second = data
+    try:
+        res = fit_hetero(first, second)
+    except NonPositiveVariance:
+        reject()  # the variance went to the boundary: no stationary point to certify
+    assume(res.converged)
+    t = res.theta_hat
+    s2 = t.sigma_eps2
+    rb, rs = score_residuals(t, first, second)
+    gam = gamma(t.beta, s2, first)
+    d = first.y - t.alpha - t.beta * first.x_fixed
+    w = (gam - d * d) / (gam * gam)
+    assert abs(rb) < SCORE_TOL * (float(np.sum(np.abs(first.x_fixed * d / gam))) + 1.0)
+    assert abs(rs) < SCORE_TOL * (float(np.sum(np.abs(w))) + second.ss0 / (s2 * s2) + second.k / s2)
+
+
+def test_log_likelihood_keeps_the_spread_of_readings_far_from_zero():
+    # two readings near 41 that differ by 0.004: summing the squares of
+    # y0 - alpha - beta * x0 lost digits of their spread, and the public
+    # log-likelihood sat 1.1e-12 relative off the fit's own value
+    y = [-2.87021000553735, -3.0221006607288694, 9.338415978308303, 18.46630216345157,
+         18.19820746632998, 22.92232645030932, 38.29211273110577, 38.37643562069407]
+    dv = [0.04087153457569509, 0.12340960541724069, 0.03983885481068959, 0.09856861697750362,
+          0.10873706396202701, 0.04888560081739925, 0.05473523414034985, 0.04659361288616913]
+    first = FirstStageData(np.linspace(0.0, 2.0, 8), y, dv)
+    second = SecondStageData([40.996252773720364, 40.99241850732396])
+    res = fit_hetero(first, second)
+    assert res.converged
+    assert log_likelihood(res.theta_hat, first, second) == pytest.approx(res.log_likelihood,
+                                                                         rel=1e-13)
+
+
+@pytest.mark.parametrize("unit", [1e60, 1e-60])
+def test_fit_whose_variance_leaves_the_float_range_raises_non_finite_value(analytes, unit):
+    # s2**3 in the variance curvature overflows or underflows to zero
+    first, second = analytes["cadmium"]
+    scaled = (FirstStageData(first.x_fixed, unit * first.y, first.delta_var),
+              SecondStageData(unit * second.y0))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteValue, match="not representable"):
+            fit_hetero(*scaled)
 
 
 @settings(max_examples=100, deadline=None)
@@ -506,9 +545,9 @@ unit_changes = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 12.0),
 @given(data=model_datasets(), unit=unit_changes)
 def test_fits_follow_an_affine_change_of_response_unit(data, unit):
     # y -> a + b*y: the slope scales by b and the variance by b**2, x0 and
-    # var_x0 stay.  The moved fit's converged flag is not compared: at small
-    # |b| its variance score can read unconverged from rounding alone, which
-    # test_small_response_units_leave_the_fit_converged pins.
+    # var_x0 stay.  The moved fit's converged flag is not compared here;
+    # test_small_response_units_leave_the_fit_converged checks it under a
+    # change of response unit.
     first, second = data
     sign, log2_b, shift = unit
     b = sign * 2.0**log2_b
@@ -555,12 +594,14 @@ def test_fit_without_preparation_error_reduces_to_fit_usual(data):
     _assert_maps_to(res, u.beta, u.sigma_eps2, u.x0, usual.var_x0, np.ptp(first.x_fixed))
 
 
-@pytest.mark.xfail(strict=True, reason="the variance score is certified against the slope "
-                   "score's scale, so small response units read unconverged (ROADMAP item 4)")
-def test_small_response_units_leave_the_fit_converged(analytes):
-    first, second = analytes["cadmium"]
+@pytest.mark.parametrize("name, unit", [("cadmium", 1e-8), ("chromium", 1e-12),
+                                        ("lead", 1e-10)])
+def test_small_response_units_leave_the_fit_converged(analytes, name, unit):
+    # the variance score has units of 1 / sigma_eps2, so it is judged against
+    # its own terms; against the slope score's it read unconverged here
+    first, second = analytes[name]
     base = fit_hetero(first, second)
-    res = fit_hetero(FirstStageData(first.x_fixed, 1e-8 * first.y, first.delta_var),
-                     SecondStageData(1e-8 * second.y0))
+    res = fit_hetero(FirstStageData(first.x_fixed, unit * first.y, first.delta_var),
+                     SecondStageData(unit * second.y0))
     assert base.converged
     assert res.converged

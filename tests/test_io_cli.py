@@ -15,6 +15,7 @@ from hetcal import (
     FirstStageData,
     NegativeUncertainty,
     ParseError,
+    SecondStageData,
     TooFewReplicates,
     TooFewStandards,
     fit_usual,
@@ -24,7 +25,7 @@ from hetcal import (
     parse_second_stage,
 )
 from hetcal.cli import main
-from hetcal.fixtures import fixture_bytes
+from hetcal.fixtures import fixture_bytes, load_analyte
 from hetcal.io import write_first_stage, write_second_stage
 
 from conftest import rel_diff
@@ -361,7 +362,8 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
     for row in ("5,2,0.8,0.1,2.0,-0.04,10,1", "5,2,0.8,0.1,2.0,nan,10,1",
                 "5,2,nan,0.1,2.0,0.04,10,1", "5,1,0.8,0.1,2.0,0.04,10,1",
-                "2,2,0.8,0.1,2.0,0.04,10,1", "5,2,0.8,0.1,0,0.04,10,1"):
+                "2,2,0.8,0.1,2.0,0.04,10,1", "5,2,0.8,0.1,0,0.04,10,1",
+                "5,2,0.8,0.1,1e-20,0.04,10,1"):
         scen.write_text(header + row + "\n")
         out = tmp_path / "o.csv"
         assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1, row
@@ -411,6 +413,23 @@ def test_cli_fit_unrepresentable_fit_exit_1(tmp_path, capsys, model):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("unit", [1e60, 1e-60])
+@pytest.mark.parametrize("model", ["proposed", "both"])
+def test_cli_fit_variance_out_of_float_range_exit_1(tmp_path, capsys, unit, model):
+    # cadmium in a response unit where powers of sigma_eps2 leave the float range
+    first, second = load_analyte("cadmium")
+    std, samp = tmp_path / "std.csv", tmp_path / "samp.csv"
+    std.write_text(write_first_stage(FirstStageData(first.x_fixed, unit * first.y,
+                                                    first.delta_var)))
+    samp.write_text(write_second_stage(SecondStageData(unit * second.y0)))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        code = main(["fit", "--standards", str(std), "--sample", str(samp), "--model", model])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "not representable in floating point" in captured.err
 
 
 def test_import_does_not_load_scipy():

@@ -5,6 +5,7 @@ import pytest
 
 from hetcal import (
     AllReplicatesFailed,
+    NonFiniteValue,
     default_delta_vars,
     default_grid,
     fit_hetero,
@@ -109,7 +110,7 @@ def test_config_validation():
            dict(delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
            dict(delta_vars=[0.1, nan, 0.1, 0.1, 0.1]),
            dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0]), dict(x_grid=[1.0] * 5),
-           dict(beta=0.0), dict(beta=-0.0)]
+           dict(beta=0.0), dict(beta=-0.0), dict(alpha=0.1, beta=1e-20)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
@@ -187,6 +188,20 @@ def test_each_replicate_reports_the_interval_of_its_own_fits():
             assert var[rep] == res.var_x0
             assert half[rep] == (res.ci_upper - res.ci_lower) / 2.0
             assert covered[rep] == (res.ci_lower <= cfg.x0_true <= res.ci_upper)
+
+
+def test_huge_slope_theoretical_variance_raises_non_finite_value():
+    # beta * beta overflows, so every weight 1 / gamma of variance_x0 vanishes
+    with pytest.raises(NonFiniteValue, match="not representable"):
+        theoretical_variances(make_scenario(n=5, k=2, x0=0.8, beta=1e200, n_reps=1))
+
+
+def test_small_response_unit_scenario_fits_every_replicate():
+    # beta = 1e-11 with sigma = 0.2 beta: the variance score, in units of
+    # 1 / sigma_eps2, is judged against its own terms, so no replicate reads
+    # unconverged from rounding
+    cfg = make_scenario(5, 2, 0.8, beta=1e-11, sigma_eps2=(0.2e-11) ** 2, n_reps=50, seed=1)
+    assert not simulate_replicates(cfg).failed.any()
 
 
 def test_tiny_slope_gets_finite_theoretical_variances():
