@@ -15,10 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FirstStageData, SecondStageData, Theta, validate
+from .data import DataStack, FirstStageData, SecondStageData, Theta, validate
 from .errors import AllReplicatesFailed, CalibrationError
-from .hetero import fit_hetero, variance_x0
-from .usual import fit_usual, variance_usual
+from .hetero import _fit_hetero_lanes, fit_hetero, variance_x0
+from .usual import _fit_usual_lanes, _half_width, fit_usual, variance_usual
+
+# array elements of one chunk of lanes (2n + k per replicate): scenarios whose
+# replicates are too long for two in a chunk are fitted replicate by replicate
+LANE_ELEMENTS = 2**14
 
 
 def default_grid(n: int) -> np.ndarray:
@@ -112,20 +116,30 @@ def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), int(rep))))
 
 
-def generate_dataset(cfg: ScenarioConfig, rng: np.random.Generator):
-    """Draw one dataset from the controlled-variable model.
-
-    The recorded concentration is the controlled grid value; the latent
-    realized concentration is grid minus a preparation error.  Draw order is
-    fixed: preparation errors, first-stage response errors, second-stage
-    response errors.  The latent values are discarded.
-    """
-    delta = rng.standard_normal(cfg.n) * np.sqrt(cfg.delta_var_rule)
-    eps1 = rng.standard_normal(cfg.n) * math.sqrt(cfg.sigma_eps2_true)
-    eps0 = rng.standard_normal(cfg.k) * math.sqrt(cfg.sigma_eps2_true)
+def _responses(cfg: ScenarioConfig, z: np.ndarray):
+    """First- and second-stage responses ``(y, y0)`` from standard normal
+    draws ``z`` over the last axis: preparation errors, first-stage response
+    errors, then second-stage response errors (n, n and k entries).  The
+    recorded concentration is the controlled grid value; the latent realized
+    concentration, grid minus the preparation error, is discarded."""
+    n = cfg.n
+    delta = z[..., :n] * np.sqrt(cfg.delta_var_rule)
+    eps1 = z[..., n:2 * n] * math.sqrt(cfg.sigma_eps2_true)
+    eps0 = z[..., 2 * n:] * math.sqrt(cfg.sigma_eps2_true)
     x_latent = cfg.x_grid - delta
     y = cfg.alpha_true + cfg.beta_true * x_latent + eps1
     y0 = cfg.alpha_true + cfg.beta_true * cfg.x0_true + eps0
+    return y, y0
+
+
+def generate_dataset(cfg: ScenarioConfig, rng: np.random.Generator):
+    """Draw one dataset from the controlled-variable model.
+
+    One draw of 2n + k standard normals, which equals the preparation
+    errors, first-stage and second-stage response errors drawn one after
+    another; see ``_responses``.
+    """
+    y, y0 = _responses(cfg, rng.standard_normal(2 * cfg.n + cfg.k))
     first = FirstStageData(x_fixed=cfg.x_grid, y=y, delta_var=cfg.delta_var_rule)
     return first, SecondStageData(y0=y0)
 
@@ -175,20 +189,25 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     variance and its interval.  Errors, half-widths and coverage are then
     read from those stacked values, so the table measures the interval each
     fit actually reports; a failed replicate is a row left NaN.
+
+    Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)``.  A chunk of
+    at least 2 is fitted as lanes, all its datasets at once (``_fit_lanes``);
+    otherwise each replicate is drawn and fitted alone.  Both give every
+    replicate the result ``fit_usual`` and ``fit_hetero`` give its dataset,
+    bit for bit, so the table does not depend on the chunking.
     """
     # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
     reported = np.full((cfg.n_reps, 2, 4), np.nan)
-    for rep in range(cfg.n_reps):
-        try:
-            # inside the try: a draw that overflows to inf fails its replicate
-            first, second = generate_dataset(cfg, replicate_rng(cfg.seed, rep))
-            fits = (fit_usual(first, second, level=cfg.ci_level),
-                    fit_hetero(first, second, level=cfg.ci_level))
-            if not fits[1].converged:
-                raise CalibrationError("no convergence")
-        except CalibrationError:
+    chunk = max(1, LANE_ELEMENTS // (2 * cfg.n + cfg.k))
+    for start in range(0, cfg.n_reps, chunk):
+        reps = np.arange(start, min(start + chunk, cfg.n_reps))
+        if reps.size >= 2:
+            _fit_lanes(cfg, reps, reported)
             continue
-        reported[rep] = [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
+        for rep in reps:
+            # a draw that overflows to inf fails its replicate in the container
+            reported[rep] = _fit_replicate(
+                cfg.ci_level, lambda: generate_dataset(cfg, replicate_rng(cfg.seed, rep)))
     x0, var, lo, hi = np.moveaxis(reported, 2, 0)
     err, halfwidth = x0 - cfg.x0_true, (hi - lo) / 2.0
     covered = (lo <= cfg.x0_true) & (cfg.x0_true <= hi)
@@ -199,6 +218,53 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
         covered_usual=covered[:, 0], covered_proposed=covered[:, 1],
         failed=np.isnan(reported).any(axis=(1, 2)),
     )
+
+
+def _fit_replicate(level: float, draw):
+    """What both fits at ``level`` report for the dataset ``draw()``
+    returns, as (usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN if the
+    draw or either fit fails or the proposed fit does not converge."""
+    try:
+        first, second = draw()
+        fits = (fit_usual(first, second, level=level), fit_hetero(first, second, level=level))
+        if not fits[1].converged:
+            raise CalibrationError("no convergence")
+    except CalibrationError:
+        return np.nan
+    return [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
+
+
+def _fit_lanes(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray):
+    """Fit the replicates ``reps`` as lanes into ``reported``: their draws
+    stacked into (m, n) and (m, k) arrays, both fits over the stack.
+
+    A dataset with a non-finite response or identical readings (the exact
+    and boundary cases of ``fit_hetero``) is fitted alone instead.
+    """
+    z = np.stack([replicate_rng(cfg.seed, rep).standard_normal(2 * cfg.n + cfg.k)
+                  for rep in reps])
+    with np.errstate(all="ignore"):  # overflowed draws are fitted alone, and fail there
+        y, y0 = _responses(cfg, z)
+        data = DataStack(cfg.x_grid, cfg.delta_var_rule, y, y0)
+        lanes = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1) & (data.ss0 > 0.0)
+    for i in np.flatnonzero(~lanes):
+        reported[reps[i]] = _fit_replicate(cfg.ci_level, lambda: (
+            FirstStageData(cfg.x_grid, y[i], cfg.delta_var_rule), SecondStageData(y0[i])))
+    reported[reps[lanes]] = _fit_stack(data.take(lanes), cfg.ci_level)
+
+
+def _fit_stack(data: DataStack, level: float) -> np.ndarray:
+    """What both fits report for every dataset of a stack whose readings
+    differ, as an (m, usual/proposed, 4) array; NaN rows where
+    ``_fit_replicate`` gives NaN.  Row i is ``_fit_replicate`` of dataset i
+    bit for bit, whatever else the stack holds."""
+    (x0_u, var_u, ok_u), (x0_p, var_p, ok_p) = _fit_usual_lanes(data), _fit_hetero_lanes(data)
+    x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)
+    with np.errstate(all="ignore"):  # a failed lane may hold any value; it is set NaN
+        half = _half_width(var, level)
+        out = np.stack((x0, var, x0 - half, x0 + half), axis=-1)
+    out[~(ok_u & ok_p)] = np.nan
+    return out
 
 
 def _aggregate(err, est_var, halfwidth, covered, ok) -> ModelAggregates:

@@ -1,11 +1,18 @@
+import dataclasses
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetcal import (
     AllReplicatesFailed,
+    FirstStageData,
     NonFiniteValue,
+    ReplicateTable,
+    SecondStageData,
     default_delta_vars,
     default_grid,
     fit_hetero,
@@ -17,6 +24,8 @@ from hetcal import (
     simulate_replicates,
     theoretical_variances,
 )
+from hetcal import hetero, simulate
+from hetcal.data import DataStack
 
 
 # ------------------------------------------------------- design rules
@@ -169,10 +178,15 @@ def test_failures_are_counted_and_excluded():
     assert np.all(np.isnan(table.err_proposed))
 
 
-def test_each_replicate_reports_the_interval_of_its_own_fits():
+@pytest.mark.parametrize("n, k, n_reps, lanes", [(5, 2, 60, True), (20, 20, 60, True),
+                                                 (100, 2, 60, True), (5000, 20, 8, False)])
+def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes):
     # the table reads every replicate's half-width and coverage from the
-    # interval its fits report, not from a second derivation of it
-    cfg = make_scenario(n=5, k=2, x0=0.8, n_reps=60, seed=7)
+    # interval its fits report, not from a second derivation of it; fitted
+    # as lanes or replicate by replicate, it equals fit_usual and fit_hetero
+    # on each replicate's dataset exactly
+    assert (simulate.LANE_ELEMENTS // (2 * n + k) >= 2) == lanes
+    cfg = make_scenario(n=n, k=k, x0=0.8, n_reps=n_reps, seed=7)
     table = simulate_replicates(cfg)
     assert not table.failed.any()
     for rep in range(cfg.n_reps):
@@ -229,3 +243,66 @@ def test_mean_estimated_variance_tracks_theoretical_at_scale():
     assert s.proposed.mean_est_var == pytest.approx(
         s.theoretical_var_proposed, rel=0.15
     )
+
+
+def _assert_same_table(a: ReplicateTable, b: ReplicateTable):
+    for f in dataclasses.fields(ReplicateTable):
+        u, v = getattr(a, f.name), getattr(b, f.name)
+        assert u.dtype == v.dtype and u.tobytes() == v.tobytes(), f.name  # bit for bit
+
+
+@pytest.mark.parametrize("max_iterations", [hetero.MAX_ITERATIONS, 3])
+def test_chunked_lanes_give_the_table_of_one_chunk(monkeypatch, max_iterations):
+    # with at most 3 Newton steps some replicates fail unconverged, in
+    # whichever chunk they fall
+    monkeypatch.setattr(hetero, "MAX_ITERATIONS", max_iterations)
+    cfg = make_scenario(n=5, k=2, x0=0.8, n_reps=50, seed=7)
+    whole = simulate_replicates(cfg)
+    assert simulate.LANE_ELEMENTS // 12 >= cfg.n_reps  # one chunk
+    # chunks of 7 lanes, and a last chunk of one replicate fitted alone
+    monkeypatch.setattr(simulate, "LANE_ELEMENTS", 7 * 12 + 11)
+    chunked = simulate_replicates(cfg)
+    _assert_same_table(whole, chunked)
+    assert whole.failed.any() == (max_iterations == 3)
+
+
+@st.composite
+def design_stacks(draw):
+    """m datasets on one design drawn from the heteroscedastic model, one
+    per row, from the ranges of ``model_datasets``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k, m = draw(st.integers(3, 12)), draw(st.integers(2, 8)), draw(st.integers(1, 12))
+    beta = draw(st.floats(0.5, 50.0) | st.floats(-50.0, -0.5))
+    x0, sigma_eps2 = draw(st.floats(0.0, 2.0)), draw(st.floats(1e-3, 1.0))
+    x = np.linspace(0.0, 2.0, n)
+    dv = rng.uniform(0.0, draw(st.floats(0.0, 0.2)), n)
+    noise = math.sqrt(sigma_eps2)
+    y = (1.0 + beta * (x - rng.standard_normal((m, n)) * np.sqrt(dv))
+         + rng.standard_normal((m, n)) * noise)
+    y0 = 1.0 + beta * x0 + rng.standard_normal((m, k)) * noise
+    return x, dv, y, y0
+
+
+@settings(max_examples=100, deadline=None)
+@given(stack=design_stacks(), max_iterations=st.sampled_from([hetero.MAX_ITERATIONS, 1, 2, 4]),
+       order_seed=st.integers(0, 2**32 - 1))
+def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_seed):
+    # each lane's (x0, var_x0, ci) of both fits, and whether it fails, are
+    # those of its dataset fitted alone, bit for bit, whatever the stack's
+    # size and order; capping the Newton steps makes some lanes fail
+    x, dv, y, y0 = stack
+    data = DataStack(x, dv, y, y0)
+    assume(np.all(data.ss0 > 0.0))  # identical readings are fitted alone
+    m = y.shape[0]
+    rng = np.random.default_rng(order_seed)
+    order, part = rng.permutation(m), rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+    with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
+        whole = simulate._fit_stack(data, 0.95)
+        alone = np.array([simulate._fit_replicate(0.95, lambda: (
+            FirstStageData(x, y[i], dv), SecondStageData(y0[i]))) * np.ones((2, 4))
+            for i in range(m)])
+        shuffled = simulate._fit_stack(data.take(order), 0.95)
+        subset = simulate._fit_stack(DataStack(x, dv, y[part], y0[part]), 0.95)
+    assert np.array_equal(whole.view(np.uint64), alone.view(np.uint64))
+    assert np.array_equal(shuffled.view(np.uint64), whole[order].view(np.uint64))
+    assert np.array_equal(subset.view(np.uint64), whole[part].view(np.uint64))
