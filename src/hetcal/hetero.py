@@ -376,6 +376,21 @@ def _exact_fit(first, second, beta: float, level: float):
     return _fit_result(theta, 0.0, level, math.inf)
 
 
+def _start(first, second):
+    """Where the Newton iteration starts, for one dataset or a stack:
+    ``(beta0, beta_scale, s2_0, floor)``.  ``beta0`` is the first-stage
+    least-squares slope (also the slope of an exactly linear noiseless
+    dataset), ``beta_scale`` its size, ``s2_0`` the readings' variance, and
+    a fitted variance at or below ``floor``, 1e-12 of the data's variances,
+    counts as driven to the boundary."""
+    with np.errstate(all="ignore"):  # responses near the float limit overflow the squares
+        beta0 = _sum(first.xc * first.yc) / _sum(first.xc * first.xc)
+        beta_scale = np.where(beta0 != 0, abs(beta0), first.slope_threshold + 1.0)
+        s2_0 = second.ss0 / second.k
+        floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)  # np.var(y)
+        return beta0, beta_scale, s2_0, floor
+
+
 def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
     """Fit the heteroscedastic controlled calibration model.
 
@@ -388,9 +403,7 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     ``iterations`` counts Newton steps, at most ``MAX_ITERATIONS``.
     """
     validate(first, second)
-    # first-stage least-squares slope: the Newton start and the slope of an
-    # exactly linear noiseless dataset
-    beta0 = float(_sum(first.xc * first.yc) / _sum(first.xc * first.xc))
+    beta0, beta_scale, s2_0, floor = map(float, _start(first, second))
     if second.ss0 <= 0.0:
         exact = _exact_fit(first, second, beta0, level)
         if exact is not None:
@@ -399,13 +412,9 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
             "second-stage responses are all identical; the response-error "
             "variance estimate would be driven to zero"
         )
-    beta_scale = abs(beta0) if beta0 != 0 else first.slope_threshold + 1.0
-    s2_0 = second.ss0 / second.k
     beta, s2, scaled, norm, loglik, iters = map(
         float, _newton(first, second, beta0, s2_0, beta_scale))
     converged = scaled < SCORE_TOL
-
-    floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)  # np.var(y)
     if s2 <= floor:
         raise NonPositiveVariance(
             f"response-error variance was driven to the boundary ({s2})"
@@ -424,11 +433,8 @@ def _fit_hetero_lanes(data):
     ``fit_hetero`` returns a converged result for.  Equal to it bit for bit:
     the same kernels, step rule and checks, over the last axis."""
     with np.errstate(all="ignore"):
-        beta0 = _sum(data.xc * data.yc) / _sum(data.xc * data.xc)
-        beta_scale = np.where(beta0 != 0, abs(beta0), data.slope_threshold + 1.0)
-        s2_0 = data.ss0 / data.k
+        beta0, beta_scale, s2_0, floor = _start(data, data)
         beta, s2, scaled, _, _, _, representable = _newton_lanes(data, beta0, s2_0, beta_scale)
-        floor = 1e-12 * (s2_0 + _sum(data.yc * data.yc) / data.n + 1e-300)
         alpha, x0 = _alpha_x0(beta, data, data)
         var, s1, singular = _variance_x0(beta, x0, s2, data, data.k)
         ok = (representable & (scaled < SCORE_TOL) & ~(s2 <= floor)

@@ -20,8 +20,10 @@ from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import _fit_hetero_lanes, fit_hetero, variance_x0
 from .usual import _fit_usual_lanes, _half_width, fit_usual, variance_usual
 
-# array elements of one chunk of lanes (2n + k per replicate): scenarios whose
-# replicates are too long for two in a chunk are fitted replicate by replicate
+# array elements of one chunk of lanes (2n + k per replicate).  A chunk's
+# (m, n) temporaries then stay within a 2 MiB L2 cache, and replicates too
+# long for two in a chunk (every n = 5000 design) are fitted one by one,
+# where stacking was measured to gain nothing
 LANE_ELEMENTS = 2**14
 
 
