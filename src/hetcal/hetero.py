@@ -12,14 +12,20 @@ Newton iteration on its closed-form gradient and Hessian maximizes it, and
 convergence is certified afterwards from the score residuals rather than
 trusted from the iteration's own stopping rule.
 
-Each formula is written once (``gamma``, ``_log_likelihood``, ``_derivatives``,
+Each formula is written once (``gamma``, ``_point``, ``_derivatives``,
 ``fisher_information``); the public functions of the full parameter vector
-evaluate those same formulas.  The kernels reduce over the last axis, so they
-take one dataset or a ``DataStack`` of datasets on one design: ``fit_hetero``
-runs ``_newton`` on one dataset, and the simulator runs ``_newton_lanes`` on
-a stack, one lane per dataset.  Both drivers take their steps from one rule
-(``_direction``, ``_trial``) and the same elementary operations in the same
-order, so a lane's fit equals ``fit_hetero`` on its dataset bit for bit.
+evaluate those same formulas.  Each point of the iteration is evaluated once:
+``_point`` gives the objective and leaves 1 / gamma and d / gamma, which
+``_derivatives`` at an accepted point reads instead of recomputing them.
+Both write every n-length intermediate into a caller's ``workspace`` with
+ufunc ``out=``, so an iteration allocates no vectors; ``fit_hetero`` takes
+one with ``work=`` and the simulator keeps one for a whole scenario.  The
+kernels reduce over the last axis, so they take one dataset or a
+``DataStack`` of datasets on one design: ``fit_hetero`` runs ``_newton`` on
+one dataset, and the simulator runs ``_newton_lanes`` on a stack, one lane
+per dataset.  Both drivers take their steps from one rule (``_direction``,
+``_trial``) and the same elementary operations in the same order, so a
+lane's fit equals ``fit_hetero`` on its dataset bit for bit.
 ``variance_x0`` reads the concentration's entry of the inverse information
 from the matrix's block structure (a delta method on the sample mean and a
 Schur complement in the variance), so it needs no second copy of the matrix.
@@ -43,27 +49,22 @@ MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
 SCORE_TOL = 1e-6
 
 
-def gamma(beta: float, sigma_eps2: float, first: FirstStageData) -> np.ndarray:
-    """Marginal response variance of each standard."""
+def _require_positive(sigma_eps2):
     if sigma_eps2 <= 0:
         raise NonPositiveVariance(f"sigma_eps2 must be positive, got {sigma_eps2}")
+
+
+def gamma(beta: float, sigma_eps2: float, first: FirstStageData) -> np.ndarray:
+    """Marginal response variance of each standard."""
+    _require_positive(sigma_eps2)
     return _gamma(beta, sigma_eps2, first.delta_var)
 
 
-def _gamma(beta, s2, delta_var):
-    """``gamma`` unchecked, for one dataset or stacked lanes."""
+def _gamma(beta, s2, delta_var, out=None):
+    """``gamma`` unchecked, for one dataset or stacked lanes, into ``out``
+    if given."""
     b = _col(beta)
-    return _col(s2) + b * b * delta_var
-
-
-def _log_likelihood(gam, d, ss0, k, s2):
-    """Log-likelihood up to a constant from the marginal variances, the
-    first-stage residuals and the second-stage sum of squares of k readings."""
-    return (
-        -0.5 * _sum(np.log(gam))
-        - 0.5 * k * np.log(s2)
-        - 0.5 * (_sum(d * d / gam) + ss0 / s2)
-    )
+    return np.add(_col(s2), np.multiply(b * b, delta_var, out=out), out=out)
 
 
 def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData) -> float:
@@ -71,11 +72,11 @@ def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData)
 
     The readings' sum of squares is ss0 + k * (y0bar - alpha - beta * x0)**2,
     which keeps the digits of their spread when they sit far from zero."""
-    gam = gamma(theta.beta, theta.sigma_eps2, first)
+    _require_positive(theta.sigma_eps2)
     r1 = first.y - theta.alpha - theta.beta * first.x_fixed
     m0 = second.y0bar - theta.alpha - theta.beta * theta.x0
-    return float(_log_likelihood(gam, r1, second.ss0 + second.k * m0 * m0, second.k,
-                                 theta.sigma_eps2))
+    return float(_point(first, theta.beta, theta.sigma_eps2, second.ss0 + second.k * m0 * m0,
+                        second.k, workspace(first.n), r1))
 
 
 def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData):
@@ -90,7 +91,7 @@ def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData
     beta, s2 = np.float64(theta.beta), np.float64(theta.sigma_eps2)
     d = first.y - theta.alpha - beta * first.x_fixed
     with np.errstate(all="ignore"):
-        r_beta, r_sigma = _derivatives(first, second, beta, s2, d)[:2]
+        r_beta, r_sigma = _derivatives(first, second, beta, s2, d=d)[:2]
     return float(r_beta), float(r_sigma)
 
 
@@ -131,8 +132,7 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
         raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if theta.sigma_eps2 <= 0:
-        raise NonPositiveVariance(f"sigma_eps2 must be positive, got {theta.sigma_eps2}")
+    _require_positive(theta.sigma_eps2)
     var, s1, singular = _variance_x0(theta.beta, theta.x0, theta.sigma_eps2, first, k)
     if not s1 > 0.0:  # beta * beta overflowed, so every weight vanished
         raise NonFiniteValue(f"the variance is not representable in floating point: "
@@ -168,52 +168,79 @@ def _variance_x0(be, x0, s2, first, k):
         return var, s1, b <= 1e-12 * (b + s1 * xbar * xbar)
 
 
-def _value(first, second, beta, s2):
-    """Profiled log-likelihood over (slope, response variance); minus
-    infinity where the variance is not positive and finite or the slope is
-    not finite."""
-    gam = _gamma(beta, s2, first.delta_var)
-    value = _log_likelihood(gam, first.yc - _col(beta) * first.xc, second.ss0, second.k, s2)
+# rows of a workspace: the point's 1 / gamma and d / gamma, then three scratch rows
+_ROWS = 5
+
+
+def workspace(*shape: int) -> np.ndarray:
+    """Scratch space for the Newton kernels: ``workspace(n)`` for one
+    dataset of n standards, ``workspace(m, n)`` for a stack of m.  The
+    kernels write every n-length intermediate into it, so an iteration
+    allocates no vectors; one workspace serves any number of fits in turn."""
+    return np.empty((_ROWS, *shape))
+
+
+def _point(first, beta, s2, ss0, k, work, d=None):
+    """Profiled log-likelihood at (beta, s2) from the sum of squares ``ss0``
+    of k readings; minus infinity where the variance is not positive and
+    finite or the slope is not finite.
+
+    Leaves 1 / gamma and d / gamma in ``work[0]`` and ``work[1]`` for
+    ``_derivatives`` at the same point.  ``d`` are the first-stage
+    residuals; by default the centered ones at the profiled intercept.
+    """
+    ig, e, a, b, _ = work
+    np.divide(1.0, _gamma(beta, s2, first.delta_var, out=a), out=ig)
+    logdet = _sum(np.log(a, out=a))
+    if d is None:
+        d = np.subtract(first.yc, np.multiply(_col(beta), first.xc, out=b), out=b)
+    np.multiply(d, ig, out=e)
+    value = -0.5 * logdet - 0.5 * k * np.log(s2) - 0.5 * (_sum(np.multiply(d, e, out=a))
+                                                         + ss0 / s2)
     valid = (s2 > 0.0) & (s2 < math.inf) & (abs(beta) < math.inf)
     return np.where(valid, value, -math.inf)[()]  # [()]: one dataset's value as a scalar
 
 
-def _derivatives(first, second, beta, s2, d=None):
-    """Scores, scaled score and Hessian at (beta, s2), from one evaluation.
+def _derivatives(first, second, beta, s2, work=None, d=None):
+    """Scores, scaled score and Hessian at (beta, s2).
 
     Returns ``(r_beta, r_sigma, scaled, h_bb, h_bs, h_ss)``: the scores
-    -(dl/dbeta, 2 dl/ds2) of ``_value``, the larger of the two scores each
+    -(dl/dbeta, 2 dl/ds2) of ``_point``, the larger of the two scores each
     over the size of its own terms (sum |X_i d_i / gamma_i| + 1 for the
     slope; sum |w_i| + ss0 / s2**2 + k / s2 for the variance, which is in
-    units of 1 / s2) and the second derivatives of ``_value`` in (slope,
-    variance).  ``d`` are the first-stage residuals; by default the centered
-    ones at the profiled intercept.
+    units of 1 / s2) and the second derivatives of ``_point`` in (slope,
+    variance).  ``work`` holds what ``_point`` left at (beta, s2); without
+    it the point is evaluated here, at the residuals ``d`` if given.
     """
-    gam = _gamma(beta, s2, first.delta_var)
-    if d is None:
-        d = first.yc - _col(beta) * first.xc
+    if work is None:
+        work = workspace(*np.shape(first.y))
+        _point(first, beta, s2, second.ss0, second.k, work, d)
+    ig, e, a, b, c = work
     xc, dv, ss0, k = first.xc, first.delta_var, second.ss0, second.k
-    g2 = gam * gam
-    dd = d * d
-    xcd = xc * d
-    w = (gam - dd) / g2
-    u = (gam - 2.0 * dd) / (g2 * gam)
-    xd = xcd / g2
-    dvw = _sum(dv * w)
+    # w = (gamma - d^2) / gamma^2 and u = (gamma - 2 d^2) / gamma^3
+    np.multiply(e, e, out=b)
+    np.subtract(ig, b, out=a)  # w
+    sum_w = _sum(a)
+    sum_abs_w = _sum(np.abs(a, out=c))
+    dvw = _sum(np.multiply(dv, a, out=c))
+    np.multiply(np.subtract(a, b, out=a), ig, out=a)  # u
+    sum_u = _sum(a)
+    sum_dvu = _sum(np.multiply(dv, a, out=a))
+    sum_dv2u = _sum(np.multiply(dv, a, out=a))
+    # xc d / gamma, then xd = xc d / gamma^2
+    sum_xe = _sum(np.multiply(xc, e, out=a))
+    sum_xd = _sum(np.multiply(a, ig, out=a))
+    sum_dvxd = _sum(np.multiply(dv, a, out=a))
+    sum_abs_xe = _sum(np.abs(np.multiply(first.x_fixed, e, out=a), out=a))
+    sum_xxig = _sum(np.multiply(np.multiply(xc, ig, out=a), xc, out=a))
     s22 = s2 * s2
-    r_beta = beta * dvw - _sum(xcd / gam)
-    r_sigma = _sum(w) - (ss0 / s22 - k / s2)
-    scaled = np.maximum(
-        abs(r_beta) / (_sum(abs(first.x_fixed * d / gam)) + 1.0),
-        abs(r_sigma) / (_sum(abs(w)) + ss0 / s22 + k / s2))
-    h_bb = (
-        -dvw
-        + 2.0 * beta * beta * _sum(dv * dv * u)
-        - _sum(xc * xc / gam)
-        - 4.0 * beta * _sum(dv * xd)
-    )
-    h_bs = beta * _sum(dv * u) - _sum(xd)
-    h_ss = 0.5 * _sum(u) + 0.5 * k / s22 - ss0 / (s22 * s2)
+    r_beta = beta * dvw - sum_xe
+    r_sigma = sum_w - (ss0 / s22 - k / s2)
+    scaled = np.maximum(abs(r_beta) / (sum_abs_xe + 1.0),
+                        abs(r_sigma) / (sum_abs_w + ss0 / s22 + k / s2))
+    h_bb = -dvw + 2.0 * beta * beta * sum_dv2u - sum_xxig - 4.0 * beta * sum_dvxd
+    h_bs = beta * sum_dvu - sum_xd
+    h_ss = 0.5 * sum_u + 0.5 * k / s22 - ss0 / (s22 * s2)
     return r_beta, r_sigma, scaled, h_bb, h_bs, h_ss
 
 
@@ -257,27 +284,37 @@ def _trial(beta, s2, beta_scale, t, du, dv):
     return t * np.maximum(abs(du), abs(dv)), beta + beta_scale * t * du, s2 * np.exp(t * dv)
 
 
-def _newton(first, second, beta: float, s2: float, beta_scale: float):
+def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None):
     """Safeguarded Newton ascent on the profiled log-likelihood, stepping in
     (beta / beta_scale, log s2) by ``_direction``.
 
     Each step is halved until the objective does not fall by more than
-    rounding.  Runs until the accepted step is below 1e-14 or for
-    ``MAX_ITERATIONS`` steps: the intercept amplifies any slope error by the
-    ratio of the response scale to the intercept scale, so the solution is
-    taken to rounding level.  Returns the iterate with the smallest scaled
-    score as ``(beta, s2, scaled score, score norm, log-likelihood,
-    iterations)``.  Raises ``NonFiniteValue`` where the cube of the variance
-    leaves the float range.  The kernels run with floating-point warnings
-    off: a non-finite value is judged by these checks, not reported.
+    rounding.  Runs until the step is below 1e-14 or for ``MAX_ITERATIONS``
+    steps: the intercept amplifies any slope error by the ratio of the
+    response scale to the intercept scale, so the solution is taken to
+    rounding level.  A step below 1e-14 ends the iteration whether or not it
+    would be kept, so the objective is not evaluated there.  Returns the
+    iterate with the smallest scaled score as ``(beta, s2, scaled score,
+    score norm, log-likelihood, iterations)``.  Raises ``NonFiniteValue``
+    where the cube of the variance leaves the float range.  The kernels run
+    with floating-point warnings off: a non-finite value is judged by these
+    checks, not reported.
+
+    Each point is evaluated once, into ``work`` (by default a fresh
+    ``workspace(first.n)``): the last point evaluated is the start or the
+    accepted trial, so ``_derivatives`` reads its intermediates there.
     """
+    if work is None:
+        work = workspace(first.n)
     beta, s2 = np.float64(beta), np.float64(s2)  # numpy, not Python, float semantics
+    ss0, k = second.ss0, second.k
     with np.errstate(all="ignore"):
-        value = _value(first, second, beta, s2)
+        value = _point(first, beta, s2, ss0, k, work)
         best = (beta, s2, math.inf, math.inf, value)
         iterations = 0
         while True:
-            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2)
+            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2,
+                                                                     work)
             if not _representable(s2):
                 raise NonFiniteValue("the fit is not representable in floating point: powers "
                                      f"of the response-error variance {s2} leave the float range")
@@ -292,15 +329,15 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float):
             lowest = value - 1e-12 * (abs(value) + 1.0)
             while True:
                 step, beta_new, s2_new = _trial(beta, s2, beta_scale, t, du, dv)
-                value_new = _value(first, second, beta_new, s2_new)
-                if value_new >= lowest or step < 1e-14:
+                if step < 1e-14:
+                    break
+                value_new = _point(first, beta_new, s2_new, ss0, k, work)
+                if value_new >= lowest:
                     break
                 t *= 0.5
-            if value_new < lowest:
-                break  # no step down to 1e-14 keeps the objective
-            beta, s2, value = beta_new, s2_new, value_new
             if step < 1e-14:
-                break
+                break  # converged to rounding, or no longer step keeps the objective
+            beta, s2, value = beta_new, s2_new, value_new
     return (*best, iterations)
 
 
@@ -313,17 +350,24 @@ def _newton_lanes(data, beta, s2, beta_scale):
     and the line search evaluates only the lanes still halving.  Returns
     ``_newton``'s six values as arrays plus ``representable``, false for the
     lanes where ``_newton`` raises ``NonFiniteValue``.
+
+    Each point is evaluated once, into the leading lanes of a workspace for
+    the stack.  A line search round on a subset of the running lanes is
+    evaluated in a second workspace and its point rows copied to the lanes'
+    own, so ``_derivatives`` finds every lane's accepted point there.
     """
     m = beta.size
+    work, spare = workspace(*data.y.shape), workspace(*data.y.shape)
     with np.errstate(all="ignore"):
-        value = _value(data, data, beta, s2)
+        value = _point(data, beta, s2, data.ss0, data.k, work)
         best = [beta.copy(), s2.copy(), np.full(m, math.inf), np.full(m, math.inf),
                 value.copy()]
         iterations = np.zeros(m, dtype=int)
         representable = np.ones(m, dtype=bool)
         lanes = np.arange(m)  # the running lanes; their data, iterate and value follow
         for count in range(MAX_ITERATIONS + 1):
-            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(data, data, beta, s2)
+            here = work[:, :lanes.size]
+            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(data, data, beta, s2, here)
             fine = _representable(s2)
             representable[lanes[~fine]] = False
             better = fine & (scaled < best[2][lanes])
@@ -339,10 +383,14 @@ def _newton_lanes(data, beta, s2, beta_scale):
             beta_new, s2_new, value_new = beta.copy(), s2.copy(), value.copy()
             search = np.flatnonzero(fine & ok)
             while search.size:
-                part = data if search.size == lanes.size else data.take(search)
+                whole = search.size == lanes.size
+                part = data if whole else data.take(search)
+                into = here if whole else spare[:, :search.size]
                 st, b, s = _trial(beta[search], s2[search], beta_scale[search], t[search],
                                   du[search], dv[search])
-                v = _value(part, part, b, s)
+                v = _point(part, b, s, part.ss0, part.k, into)
+                if not whole:  # the rows _derivatives reads, to the lanes' own
+                    here[:2, search] = into[:2]
                 step[search], beta_new[search], s2_new[search], value_new[search] = st, b, s, v
                 halve = ~((v >= lowest[search]) | (st < 1e-14))
                 t[search[halve]] *= 0.5
@@ -354,6 +402,7 @@ def _newton_lanes(data, beta, s2, beta_scale):
             beta, s2, value = beta_new, s2_new, value_new
             if not keep.all():
                 lanes, data = lanes[keep], data.take(keep)
+                work[:2, :lanes.size] = here[:2, keep]
                 beta, s2, value, beta_scale = beta[keep], s2[keep], value[keep], beta_scale[keep]
     return (*best, iterations, representable)
 
@@ -391,7 +440,8 @@ def _start(first, second):
         return beta0, beta_scale, s2_0, floor
 
 
-def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
+def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95, *,
+               work: np.ndarray | None = None) -> FitResult:
     """Fit the heteroscedastic controlled calibration model.
 
     Maximizes the profiled log-likelihood over (slope, log response-variance)
@@ -401,8 +451,16 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     returned iterate are below ``SCORE_TOL``; otherwise the iterate with the
     smallest scaled score is returned with ``converged=False``.
     ``iterations`` counts Newton steps, at most ``MAX_ITERATIONS``.
+
+    ``work``, from ``workspace(first.n)``, is the iteration's scratch space;
+    a caller fitting many datasets of one size passes the same one to each
+    fit, which keeps long fits from allocating and freeing it every time.
+    By default each fit allocates its own.  The result does not depend on it.
     """
     validate(first, second)
+    if work is not None and (work.shape, work.dtype) != ((_ROWS, first.n), np.float64):
+        raise ValueError(f"work must be a workspace({first.n}): float64 of shape "
+                         f"{(_ROWS, first.n)}, not {work.dtype} of shape {work.shape}")
     beta0, beta_scale, s2_0, floor = map(float, _start(first, second))
     if second.ss0 <= 0.0:
         exact = _exact_fit(first, second, beta0, level)
@@ -413,7 +471,7 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
             "variance estimate would be driven to zero"
         )
     beta, s2, scaled, norm, loglik, iters = map(
-        float, _newton(first, second, beta0, s2_0, beta_scale))
+        float, _newton(first, second, beta0, s2_0, beta_scale, work))
     converged = scaled < SCORE_TOL
     if s2 <= floor:
         raise NonPositiveVariance(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import DataStack, FirstStageData, SecondStageData, Theta, validate
 from .errors import AllReplicatesFailed, CalibrationError
-from .hetero import _fit_hetero_lanes, fit_hetero, variance_x0
+from .hetero import _fit_hetero_lanes, fit_hetero, variance_x0, workspace
 from .usual import _fit_usual_lanes, _half_width, fit_usual, variance_usual
 
 # array elements of one chunk of lanes (2n + k per replicate).  A chunk's
@@ -25,6 +25,10 @@ from .usual import _fit_usual_lanes, _half_width, fit_usual, variance_usual
 # long for two in a chunk (every n = 5000 design) are fitted one by one,
 # where stacking was measured to gain nothing
 LANE_ELEMENTS = 2**14
+# the fewest replicates fitted as lanes: shorter chunks run one by one, where
+# chunks of 2 were measured at 0.74-0.88x and of 3 at 0.86-1.07x the speed
+# of the per-replicate loop for n = 1000-2000
+LANE_MIN = 4
 
 
 def default_grid(n: int) -> np.ndarray:
@@ -193,23 +197,27 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     fit actually reports; a failed replicate is a row left NaN.
 
     Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)``.  A chunk of
-    at least 2 is fitted as lanes, all its datasets at once (``_fit_lanes``);
-    otherwise each replicate is drawn and fitted alone.  Both give every
+    at least ``LANE_MIN`` is fitted as lanes, all its datasets at once
+    (``_fit_lanes``); otherwise each replicate is drawn and fitted alone.  Both give every
     replicate the result ``fit_usual`` and ``fit_hetero`` give its dataset,
-    bit for bit, so the table does not depend on the chunking.
+    bit for bit, so the table does not depend on the chunking.  The
+    replicates fitted alone share one ``fit_hetero`` workspace.
     """
     # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
     reported = np.full((cfg.n_reps, 2, 4), np.nan)
+    # allocated once: a workspace per fit of a long design would be
+    # allocated and returned to the system by every fit
+    work = workspace(cfg.n)
     chunk = max(1, LANE_ELEMENTS // (2 * cfg.n + cfg.k))
     for start in range(0, cfg.n_reps, chunk):
         reps = np.arange(start, min(start + chunk, cfg.n_reps))
-        if reps.size >= 2:
-            _fit_lanes(cfg, reps, reported)
+        if reps.size >= LANE_MIN:
+            _fit_lanes(cfg, reps, reported, work)
             continue
         for rep in reps:
             # a draw that overflows to inf fails its replicate in the container
             reported[rep] = _fit_replicate(
-                cfg.ci_level, lambda: generate_dataset(cfg, replicate_rng(cfg.seed, rep)))
+                cfg.ci_level, lambda: generate_dataset(cfg, replicate_rng(cfg.seed, rep)), work)
     x0, var, lo, hi = np.moveaxis(reported, 2, 0)
     err, halfwidth = x0 - cfg.x0_true, (hi - lo) / 2.0
     covered = (lo <= cfg.x0_true) & (cfg.x0_true <= hi)
@@ -222,13 +230,15 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     )
 
 
-def _fit_replicate(level: float, draw):
+def _fit_replicate(level: float, draw, work: np.ndarray):
     """What both fits at ``level`` report for the dataset ``draw()``
     returns, as (usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN if the
-    draw or either fit fails or the proposed fit does not converge."""
+    draw or either fit fails or the proposed fit does not converge.
+    ``work`` is the proposed fit's workspace."""
     try:
         first, second = draw()
-        fits = (fit_usual(first, second, level=level), fit_hetero(first, second, level=level))
+        fits = (fit_usual(first, second, level=level),
+                fit_hetero(first, second, level=level, work=work))
         if not fits[1].converged:
             raise CalibrationError("no convergence")
     except CalibrationError:
@@ -236,12 +246,13 @@ def _fit_replicate(level: float, draw):
     return [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
 
 
-def _fit_lanes(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray):
+def _fit_lanes(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work: np.ndarray):
     """Fit the replicates ``reps`` as lanes into ``reported``: their draws
     stacked into (m, n) and (m, k) arrays, both fits over the stack.
 
     A dataset with a non-finite response or identical readings (the exact
-    and boundary cases of ``fit_hetero``) is fitted alone instead.
+    and boundary cases of ``fit_hetero``) is fitted alone instead, in the
+    workspace ``work``.
     """
     z = np.stack([replicate_rng(cfg.seed, rep).standard_normal(2 * cfg.n + cfg.k)
                   for rep in reps])
@@ -251,7 +262,7 @@ def _fit_lanes(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray):
         lanes = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1) & (data.ss0 > 0.0)
     for i in np.flatnonzero(~lanes):
         reported[reps[i]] = _fit_replicate(cfg.ci_level, lambda: (
-            FirstStageData(cfg.x_grid, y[i], cfg.delta_var_rule), SecondStageData(y0[i])))
+            FirstStageData(cfg.x_grid, y[i], cfg.delta_var_rule), SecondStageData(y0[i])), work)
     reported[reps[lanes]] = _fit_stack(data.take(lanes), cfg.ci_level)
 
 

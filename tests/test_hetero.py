@@ -21,7 +21,7 @@ from hetcal import (
     score_residuals,
 )
 from hetcal import hetero
-from hetcal.hetero import SCORE_TOL, _derivatives, _newton, _value
+from hetcal.hetero import SCORE_TOL, _derivatives, _newton, _point, workspace
 
 from conftest import fit_or_reject, make_model_dataset, model_datasets, rel_diff
 
@@ -420,7 +420,79 @@ def test_distant_start_reaches_same_optimum(analytes):
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
-    assert loglik == _value(first, second, beta, s2)
+    assert loglik == _point(first, beta, s2, second.ss0, second.k, workspace(first.n))
+
+
+@pytest.mark.parametrize("name, start", [("lead", None), ("chromium", (1.1e5, 5e4, 1.1e5))])
+def test_newton_evaluates_each_point_once(analytes, monkeypatch, name, start):
+    # the objective runs at the start, at every accepted step and at every
+    # halved trial, and not at the final step below 1e-14, which ends the
+    # iteration whether or not it would be kept; the distant start halves
+    first, second = analytes[name]
+    events = []
+    point, trial, derivatives = hetero._point, hetero._trial, hetero._derivatives
+
+    def counted_trial(*args):
+        out = trial(*args)
+        events.append("step" if out[0] >= 1e-14 else "tiny")
+        return out
+
+    monkeypatch.setattr(hetero, "_point", lambda *a: events.append("point") or point(*a))
+    monkeypatch.setattr(hetero, "_trial", counted_trial)
+    monkeypatch.setattr(hetero, "_derivatives",
+                        lambda *a: events.append("derivatives") or derivatives(*a))
+    if start is None:
+        iterations = fit_hetero(first, second).iterations
+        assert iterations == 12
+    else:
+        iterations = _newton(first, second, *start)[5]
+    points, steps = events.count("point"), events.count("step")
+    accepted = events.count("derivatives") - 1
+    halvings = steps + 1 - iterations  # each iteration's last trial is not halved
+    assert (events[0], events[-1], events.count("tiny")) == ("point", "tiny", 1)
+    assert points == 1 + accepted + halvings == 1 + steps
+    assert all(b == "point" for a, b in zip(events, events[1:]) if a == "step")
+    if start is not None:
+        assert halvings > 0
+
+
+def test_newton_in_a_caller_workspace_allocates_no_vector():
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rng = np.random.default_rng(5)
+    first, second, _ = make_model_dataset(rng, n=5000, k=500)
+    beta0, beta_scale, s2_0, _ = hetero._start(first, second)
+    work = workspace(first.n)
+    _newton(first, second, beta0, s2_0, beta_scale, work)  # warm every code path
+    tracemalloc.start()
+    try:
+        beta, s2, scaled, *_ = _newton(first, second, beta0, s2_0, beta_scale, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scaled < SCORE_TOL
+    assert peak < first.n * 8  # less than one n-vector of float64
+
+
+def test_a_fit_in_a_caller_workspace_equals_the_default_fit(analytes):
+    rng = np.random.default_rng(6)
+    datasets = list(analytes.values()) + [make_model_dataset(rng, n=20)[:2] for _ in range(4)]
+    shared = workspace(20)
+    for first, second in datasets:
+        alone = fit_hetero(first, second)
+        for work in (workspace(first.n), shared):
+            if work.shape[1] != first.n:
+                continue
+            # what a workspace holds before a fit does not reach the result
+            work.fill(np.nan)
+            assert repr(fit_hetero(first, second, work=work)) == repr(alone)
+            assert repr(fit_hetero(first, second, work=work)) == repr(alone)
+
+
+def test_a_workspace_of_another_size_or_type_is_rejected(analytes):
+    first, second = analytes["lead"]
+    for work in (workspace(first.n + 1), workspace(first.n).astype(np.float32)):
+        with pytest.raises(ValueError, match="workspace"):
+            fit_hetero(first, second, work=work)
 
 
 def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):

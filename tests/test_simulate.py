@@ -185,7 +185,7 @@ def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes
     # interval its fits report, not from a second derivation of it; fitted
     # as lanes or replicate by replicate, it equals fit_usual and fit_hetero
     # on each replicate's dataset exactly
-    assert (simulate.LANE_ELEMENTS // (2 * n + k) >= 2) == lanes
+    assert (simulate.LANE_ELEMENTS // (2 * n + k) >= simulate.LANE_MIN) == lanes
     cfg = make_scenario(n=n, k=k, x0=0.8, n_reps=n_reps, seed=7)
     table = simulate_replicates(cfg)
     assert not table.failed.any()
@@ -296,10 +296,11 @@ def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_s
     m = y.shape[0]
     rng = np.random.default_rng(order_seed)
     order, part = rng.permutation(m), rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+    work = hetero.workspace(data.n)  # shared by the fits alone, as in simulate_replicates
     with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
         whole = simulate._fit_stack(data, 0.95)
         alone = np.array([simulate._fit_replicate(0.95, lambda: (
-            FirstStageData(x, y[i], dv), SecondStageData(y0[i]))) * np.ones((2, 4))
+            FirstStageData(x, y[i], dv), SecondStageData(y0[i])), work) * np.ones((2, 4))
             for i in range(m)])
         shuffled = simulate._fit_stack(data.take(order), 0.95)
         subset = simulate._fit_stack(DataStack(x, dv, y[part], y0[part]), 0.95)
