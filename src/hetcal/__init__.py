@@ -12,7 +12,6 @@ from .data import (
     FitResult,
     SecondStageData,
     Theta,
-    means,
     profile_alpha_x0,
     validate,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "generate_dataset",
     "log_likelihood",
     "make_scenario",
-    "means",
     "parse_first_stage",
     "parse_scenarios",
     "parse_second_stage",

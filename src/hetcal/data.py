@@ -11,7 +11,8 @@ needs: n >= 3, k >= 2 and distinct concentrations.  Both estimators read the
 intercept and the unknown concentration at their fitted slope from
 ``profile_alpha_x0``.  ``DataStack`` holds many datasets on one design, one
 per row, for the simulator's lanes; it is summarised by the same functions,
-which reduce over the last axis.
+which reduce over the last axis.  ``_FAILURES`` holds why a fit can fail:
+one dataset raises the first failed reason of its verdict, a lane fails on any.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import (
     MismatchedLengths,
     NegativeVariance,
     NonFiniteValue,
+    NonPositiveVariance,
+    SingularInformation,
     SlopeNearZero,
     TooFewReplicates,
     TooFewStandards,
@@ -240,9 +243,46 @@ def validate(first: FirstStageData, second: SecondStageData):
     return first, second
 
 
-def means(first: FirstStageData, second: SecondStageData):
-    """Arithmetic means (x-bar, y-bar, y0-bar) of the three data vectors."""
-    return first.xbar, first.ybar, second.y0bar
+# why a fit fails: the error each reason raises on one dataset and its
+# message, filled from the fit's ``beta``, ``s2``, ``theta`` and ``var_x0``.
+# An estimator's verdict lists ``(reason, failed)`` in the order it judges them
+_FAILURES = {
+    "identical": (NonPositiveVariance, "second-stage responses are all identical; the "
+                                       "response-error variance estimate would be driven to zero"),
+    "overflow": (NonFiniteValue, "the fit is not representable in floating point: powers of "
+                                 "the response-error variance {s2} leave the float range"),
+    "boundary": (NonPositiveVariance, "response-error variance was driven to the boundary ({s2})"),
+    "slope": (SlopeNearZero, "slope {beta} is numerically zero"),
+    "weights": (NonFiniteValue, "the variance is not representable in floating point: "
+                                "slope {beta}"),
+    "singular": (SingularInformation, "information matrix is numerically singular for this "
+                                      "design"),
+    "finite": (NonFiniteValue, "the fit is not representable in floating point: {theta}, "
+                               "var_x0 = {var_x0}"),
+}
+
+
+def _raise_first(verdict, **values):
+    """On one dataset, raise the error of the first reason in ``verdict``
+    that failed, its message filled from ``values``."""
+    for reason, failed in verdict:
+        if failed:
+            error, message = _FAILURES[reason]
+            raise error(message.format(**values))
+
+
+def _slope_verdict(beta, first):
+    """The verdict entry of a numerically zero slope."""
+    return "slope", abs(beta) < first.slope_threshold
+
+
+def _finite_verdict(*values):
+    """The verdict entry of a fit whose outputs are not all finite."""
+    return "finite", ~np.isfinite(values).all(axis=0)
+
+
+def _require_slope(beta, first):
+    _raise_first((_slope_verdict(beta, first),), beta=beta)
 
 
 def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):
@@ -251,8 +291,7 @@ def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData
     The intercept depends only on the slope and the data means; no iteration
     is involved.  Both estimators invert their fitted line through it.
     """
-    if abs(beta) < first.slope_threshold:
-        raise SlopeNearZero(f"slope {beta} is numerically zero")
+    _require_slope(beta, first)
     return _alpha_x0(beta, first, second)
 
 

@@ -21,11 +21,11 @@ Both write every n-length intermediate into a caller's ``workspace`` with
 ufunc ``out=``, so an iteration allocates no vectors; ``fit_hetero`` takes
 one with ``work=`` and the simulator keeps one for a whole scenario.  The
 kernels reduce over the last axis, so they take one dataset or a
-``DataStack`` of datasets on one design: ``fit_hetero`` runs ``_newton`` on
-one dataset, and the simulator runs ``_newton_lanes`` on a stack, one lane
-per dataset.  Both drivers take their steps from one rule (``_direction``,
-``_trial``) and the same elementary operations in the same order, so a
-lane's fit equals ``fit_hetero`` on its dataset bit for bit.
+``DataStack`` of datasets on one design.  ``_hetero`` fits either, by
+``_newton`` on one dataset or ``_newton_lanes`` on a stack, one lane per
+dataset; both drivers step by one rule (``_direction``, ``_trial``) with the
+same elementary operations in the same order, and one verdict judges both,
+so a lane's fit, and whether it fails, equal ``fit_hetero`` bit for bit.
 ``variance_x0`` reads the concentration's entry of the inverse information
 from the matrix's block structure (a delta method on the sample mean and a
 Schur complement in the variance), so it needs no second copy of the matrix.
@@ -38,9 +38,9 @@ import math
 import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
-                   _sum, profile_alpha_x0, validate)
-from .errors import NonFiniteValue, NonPositiveVariance, SingularInformation, SlopeNearZero
-from .usual import _finite, _fit_result
+                   _finite_verdict, _raise_first, _require_slope, _slope_verdict, _sum, validate)
+from .errors import NonPositiveVariance
+from .usual import _fit_result
 
 MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
 # relative: each score is scaled by the size of its own terms, so that datasets
@@ -128,26 +128,19 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     Schur complement).  With weights w = 1 / gamma, ``b`` is 1 / Var(beta);
     every term in it and in the result is non-negative, so nothing cancels.
     """
-    if abs(theta.beta) < first.slope_threshold:
-        raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
+    _require_slope(theta.beta, first)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _require_positive(theta.sigma_eps2)
-    var, s1, singular = _variance_x0(theta.beta, theta.x0, theta.sigma_eps2, first, k)
-    if not s1 > 0.0:  # beta * beta overflowed, so every weight vanished
-        raise NonFiniteValue(f"the variance is not representable in floating point: "
-                             f"slope {theta.beta}")
-    if singular:
-        raise SingularInformation(
-            "information matrix is numerically singular for this design"
-        )
+    var, verdict = _variance_x0(theta.beta, theta.x0, theta.sigma_eps2, first, k)
+    _raise_first(verdict, beta=theta.beta)
     return float(var)
 
 
 def _variance_x0(be, x0, s2, first, k):
     """The body of ``variance_x0`` over the last axis, for one dataset or
-    stacked lanes: ``(var_x0, s1, singular)``, where the variance is valid
-    only if ``s1 > 0`` and not ``singular``."""
+    stacked lanes: ``var_x0`` and its verdict, which fails where every
+    weight vanished (``beta * beta`` overflowed) or the information is singular."""
     with np.errstate(all="ignore"):
         w = 1.0 / _gamma(be, s2, first.delta_var)
         w2 = w * w
@@ -165,7 +158,7 @@ def _variance_x0(be, x0, s2, first, k):
         )
         m = xbar - x0
         var = (s2 / k + (b + s1 * m * m) / (s1 * b)) / (be * be)
-        return var, s1, b <= 1e-12 * (b + s1 * xbar * xbar)
+        return var, (("weights", ~(s1 > 0.0)), ("singular", b <= 1e-12 * (b + s1 * xbar * xbar)))
 
 
 # rows of a workspace: the point's 1 / gamma and d / gamma, then three scratch rows
@@ -295,10 +288,10 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None)
     rounding level.  A step below 1e-14 ends the iteration whether or not it
     would be kept, so the objective is not evaluated there.  Returns the
     iterate with the smallest scaled score as ``(beta, s2, scaled score,
-    score norm, log-likelihood, iterations)``.  Raises ``NonFiniteValue``
-    where the cube of the variance leaves the float range.  The kernels run
-    with floating-point warnings off: a non-finite value is judged by these
-    checks, not reported.
+    score norm, log-likelihood, iterations, representable)``, or stops at an
+    iterate whose variance cubed leaves the float range and returns it with
+    ``representable`` false.  The kernels run with floating-point warnings
+    off: a non-finite value is judged by the fit's verdict, not reported.
 
     Each point is evaluated once, into ``work`` (by default a fresh
     ``workspace(first.n)``): the last point evaluated is the start or the
@@ -315,12 +308,10 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None)
         while True:
             r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2,
                                                                      work)
-            if not _representable(s2):
-                raise NonFiniteValue("the fit is not representable in floating point: powers "
-                                     f"of the response-error variance {s2} leave the float range")
-            if scaled < best[2]:
+            representable = _representable(s2)
+            if scaled < best[2] or not representable:
                 best = (beta, s2, scaled, np.maximum(abs(r_beta), abs(r_sigma)), value)
-            if iterations == MAX_ITERATIONS:
+            if iterations == MAX_ITERATIONS or not representable:
                 break
             iterations += 1
             du, dv, t, ok = _direction(beta, s2, beta_scale, r_beta, r_sigma, h_bb, h_bs, h_ss)
@@ -338,26 +329,27 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None)
             if step < 1e-14:
                 break  # converged to rounding, or no longer step keeps the objective
             beta, s2, value = beta_new, s2_new, value_new
-    return (*best, iterations)
+    return (*best, iterations, representable)
 
 
-def _newton_lanes(data, beta, s2, beta_scale):
+def _newton_lanes(first, second, beta, s2, beta_scale, work=None):
     """``_newton`` on every dataset of a ``DataStack`` at once, one lane per
-    dataset, from arrays of starts.
+    dataset, from arrays of starts; ``first`` and ``second`` are the stack.
 
     Each lane takes the steps ``_newton`` takes on its dataset alone: the
     running lanes share one iteration count, a lane that stops is frozen,
     and the line search evaluates only the lanes still halving.  Returns
-    ``_newton``'s six values as arrays plus ``representable``, false for the
-    lanes where ``_newton`` raises ``NonFiniteValue``.
+    ``_newton``'s seven values as arrays.
 
-    Each point is evaluated once, into the leading lanes of a workspace for
-    the stack.  A line search round on a subset of the running lanes is
-    evaluated in a second workspace and its point rows copied to the lanes'
-    own, so ``_derivatives`` finds every lane's accepted point there.
+    Each point is evaluated once, into the leading lanes of ``work`` (by
+    default a fresh one).  A line search round on a subset of the running
+    lanes is evaluated in a second workspace and its point rows copied to
+    the lanes' own, so ``_derivatives`` finds every lane's accepted point.
     """
-    m = beta.size
-    work, spare = workspace(*data.y.shape), workspace(*data.y.shape)
+    data, m = first, beta.size
+    spare = workspace(*data.y.shape)
+    if work is None:
+        work = workspace(*data.y.shape)
     with np.errstate(all="ignore"):
         value = _point(data, beta, s2, data.ss0, data.k, work)
         best = [beta.copy(), s2.copy(), np.full(m, math.inf), np.full(m, math.inf),
@@ -370,7 +362,7 @@ def _newton_lanes(data, beta, s2, beta_scale):
             r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(data, data, beta, s2, here)
             fine = _representable(s2)
             representable[lanes[~fine]] = False
-            better = fine & (scaled < best[2][lanes])
+            better = (scaled < best[2][lanes]) | ~fine
             norm = np.maximum(abs(r_beta), abs(r_sigma))
             for field, new in zip(best, (beta, s2, scaled, norm, value)):
                 field[lanes[better]] = new[better]
@@ -407,22 +399,22 @@ def _newton_lanes(data, beta, s2, beta_scale):
     return (*best, iterations, representable)
 
 
-def _exact_fit(first, second, beta: float, level: float):
-    """Degenerate noiseless case: the data lie exactly on a line and the
-    sample readings are identical, so the likelihood is unbounded at the
-    perfect fit with zero response variance.  Return that limit directly
-    when the least-squares residuals are at rounding level, relative to the
-    size of the responses in whatever unit they come; otherwise the variance
-    really is being driven to the boundary and the caller raises.
-    """
-    if abs(beta) < first.slope_threshold:
-        return None  # also covers all-zero responses, which have no size
-    r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
-    if float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2:
-        return None
-    alpha, x0 = profile_alpha_x0(beta, first, second)
-    theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=0.0)
-    return _fit_result(theta, 0.0, level, math.inf)
+def _exact_fit(first, second, level: float) -> FitResult:
+    """The fit to identical readings.  Only a noiseless dataset has one: its
+    data lie exactly on a line, so the likelihood is unbounded at the
+    perfect fit with zero response variance, which is returned.  The line
+    counts as exact when the least-squares residuals are at rounding level,
+    relative to the size of the responses in whatever unit they come;
+    otherwise the variance really is driven to the boundary."""
+    beta = _start(first, second)[0]
+    with np.errstate(all="ignore"):  # an overflowed slope fails the verdict
+        r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
+        alpha, x0 = _alpha_x0(beta, first, second)
+        # a zero slope also covers all-zero responses, which have no size
+        inexact = (abs(beta) < first.slope_threshold
+                   or float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2)
+    return _fit_result((alpha, beta, x0, 0.0, 0.0),
+                       (("identical", inexact), _finite_verdict(alpha, beta, x0)), level, math.inf)
 
 
 def _start(first, second):
@@ -434,10 +426,27 @@ def _start(first, second):
     counts as driven to the boundary."""
     with np.errstate(all="ignore"):  # responses near the float limit overflow the squares
         beta0 = _sum(first.xc * first.yc) / _sum(first.xc * first.xc)
-        beta_scale = np.where(beta0 != 0, abs(beta0), first.slope_threshold + 1.0)
+        beta_scale = np.where(beta0 != 0, abs(beta0), first.slope_threshold + 1.0)[()]
         s2_0 = second.ss0 / second.k
         floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)  # np.var(y)
         return beta0, beta_scale, s2_0, floor
+
+
+def _hetero(first, second, newton, work=None):
+    """The proposed fit over the last axis of one dataset (``newton`` is
+    ``_newton``) or a ``DataStack`` given as both stages (``_newton_lanes``):
+    ``(alpha, beta, x0, s2, var_x0, scaled score, score norm, log-likelihood,
+    iterations)`` and its verdict, in the order it is judged."""
+    with np.errstate(all="ignore"):  # judged by the verdict, not reported
+        beta0, beta_scale, s2_0, floor = _start(first, second)
+        beta, s2, scaled, norm, loglik, iterations, representable = newton(
+            first, second, beta0, s2_0, beta_scale, work)
+        alpha, x0 = _alpha_x0(beta, first, second)
+        var, variance_verdict = _variance_x0(beta, x0, s2, first, second.k)
+        verdict = (("overflow", ~representable), ("boundary", s2 <= floor),
+                   _slope_verdict(beta, first), *variance_verdict,
+                   _finite_verdict(alpha, beta, x0, s2, var))
+    return (alpha, beta, x0, s2, var, scaled, norm, loglik, iterations), verdict
 
 
 def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95, *,
@@ -461,41 +470,8 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     if work is not None and (work.shape, work.dtype) != ((_ROWS, first.n), np.float64):
         raise ValueError(f"work must be a workspace({first.n}): float64 of shape "
                          f"{(_ROWS, first.n)}, not {work.dtype} of shape {work.shape}")
-    beta0, beta_scale, s2_0, floor = map(float, _start(first, second))
     if second.ss0 <= 0.0:
-        exact = _exact_fit(first, second, beta0, level)
-        if exact is not None:
-            return exact
-        raise NonPositiveVariance(
-            "second-stage responses are all identical; the response-error "
-            "variance estimate would be driven to zero"
-        )
-    beta, s2, scaled, norm, loglik, iters = map(
-        float, _newton(first, second, beta0, s2_0, beta_scale, work))
-    converged = scaled < SCORE_TOL
-    if s2 <= floor:
-        raise NonPositiveVariance(
-            f"response-error variance was driven to the boundary ({s2})"
-        )
-    alpha, x0 = profile_alpha_x0(beta, first, second)
-    theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
-    return _fit_result(
-        theta, variance_x0(theta, first, second.k), level, loglik,
-        converged, int(iters), norm,
-    )
-
-
-def _fit_hetero_lanes(data):
-    """``fit_hetero`` on every dataset of a ``DataStack`` whose readings
-    differ (``ss0 > 0``): ``(x0, var_x0, ok)``, where ``ok`` marks the lanes
-    ``fit_hetero`` returns a converged result for.  Equal to it bit for bit:
-    the same kernels, step rule and checks, over the last axis."""
-    with np.errstate(all="ignore"):
-        beta0, beta_scale, s2_0, floor = _start(data, data)
-        beta, s2, scaled, _, _, _, representable = _newton_lanes(data, beta0, s2_0, beta_scale)
-        alpha, x0 = _alpha_x0(beta, data, data)
-        var, s1, singular = _variance_x0(beta, x0, s2, data, data.k)
-        ok = (representable & (scaled < SCORE_TOL) & ~(s2 <= floor)
-              & ~(abs(beta) < data.slope_threshold) & (s1 > 0.0) & ~singular
-              & _finite(alpha, beta, x0, s2, var))
-    return x0, var, ok
+        return _exact_fit(first, second, level)
+    fit, verdict = _hetero(first, second, _newton, work)
+    scaled, norm, loglik, iterations = map(float, fit[5:])
+    return _fit_result(fit[:5], verdict, level, loglik, scaled < SCORE_TOL, int(iterations), norm)

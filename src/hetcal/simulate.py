@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataStack, FirstStageData, SecondStageData, Theta, validate
-from .errors import AllReplicatesFailed, CalibrationError
-from .hetero import _fit_hetero_lanes, fit_hetero, variance_x0, workspace
-from .usual import _fit_usual_lanes, _half_width, fit_usual, variance_usual
+from .errors import AllReplicatesFailed, CalibrationError, NonFiniteValue
+from .hetero import SCORE_TOL, _hetero, _newton_lanes, fit_hetero, variance_x0, workspace
+from .usual import _half_width, _usual, fit_usual, variance_usual
 
-# array elements of one chunk of lanes (2n + k per replicate).  A chunk's
-# (m, n) temporaries then stay within a 2 MiB L2 cache, and replicates too
-# long for two in a chunk (every n = 5000 design) are fitted one by one,
-# where stacking was measured to gain nothing
+# array elements of one chunk of replicates (2n + k per replicate).  The value
+# was set when the lanes were introduced and has not been measured again since
+# the Newton kernels stopped allocating temporaries; replicates too long for
+# two in a chunk (every n = 5000 design) are fitted one by one
 LANE_ELEMENTS = 2**14
 # the fewest replicates fitted as lanes: shorter chunks run one by one, where
 # chunks of 2 were measured at 0.74-0.88x and of 3 at 0.86-1.07x the speed
@@ -196,12 +196,9 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     read from those stacked values, so the table measures the interval each
     fit actually reports; a failed replicate is a row left NaN.
 
-    Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)``.  A chunk of
-    at least ``LANE_MIN`` is fitted as lanes, all its datasets at once
-    (``_fit_lanes``); otherwise each replicate is drawn and fitted alone.  Both give every
-    replicate the result ``fit_usual`` and ``fit_hetero`` give its dataset,
-    bit for bit, so the table does not depend on the chunking.  The
-    replicates fitted alone share one ``fit_hetero`` workspace.
+    Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)`` (``_fit_chunk``).
+    Each gets the result ``fit_usual`` and ``fit_hetero`` give its dataset,
+    bit for bit, so the table does not depend on the chunking.
     """
     # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
     reported = np.full((cfg.n_reps, 2, 4), np.nan)
@@ -210,14 +207,7 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     work = workspace(cfg.n)
     chunk = max(1, LANE_ELEMENTS // (2 * cfg.n + cfg.k))
     for start in range(0, cfg.n_reps, chunk):
-        reps = np.arange(start, min(start + chunk, cfg.n_reps))
-        if reps.size >= LANE_MIN:
-            _fit_lanes(cfg, reps, reported, work)
-            continue
-        for rep in reps:
-            # a draw that overflows to inf fails its replicate in the container
-            reported[rep] = _fit_replicate(
-                cfg.ci_level, lambda: generate_dataset(cfg, replicate_rng(cfg.seed, rep)), work)
+        _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), reported, work)
     x0, var, lo, hi = np.moveaxis(reported, 2, 0)
     err, halfwidth = x0 - cfg.x0_true, (hi - lo) / 2.0
     covered = (lo <= cfg.x0_true) & (cfg.x0_true <= hi)
@@ -230,53 +220,61 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     )
 
 
-def _fit_replicate(level: float, draw, work: np.ndarray):
-    """What both fits at ``level`` report for the dataset ``draw()``
-    returns, as (usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN if the
-    draw or either fit fails or the proposed fit does not converge.
-    ``work`` is the proposed fit's workspace."""
-    try:
-        first, second = draw()
-        fits = (fit_usual(first, second, level=level),
-                fit_hetero(first, second, level=level, work=work))
-        if not fits[1].converged:
-            raise CalibrationError("no convergence")
-    except CalibrationError:
-        return np.nan
-    return [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
-
-
-def _fit_lanes(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work: np.ndarray):
-    """Fit the replicates ``reps`` as lanes into ``reported``: their draws
-    stacked into (m, n) and (m, k) arrays, both fits over the stack.
-
-    A dataset with a non-finite response or identical readings (the exact
-    and boundary cases of ``fit_hetero``) is fitted alone instead, in the
-    workspace ``work``.
-    """
-    z = np.stack([replicate_rng(cfg.seed, rep).standard_normal(2 * cfg.n + cfg.k)
-                  for rep in reps])
-    with np.errstate(all="ignore"):  # overflowed draws are fitted alone, and fail there
+def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work: np.ndarray):
+    """Draw the replicates ``reps`` and fit them into ``reported``: as lanes,
+    in a chunk of at least ``LANE_MIN``, the finite draws whose readings
+    differ (``ss0 > 0``); alone, in the workspace ``work``, every other draw
+    the containers accept.  A draw they reject as non-finite stays NaN."""
+    z = np.empty((reps.size, 2 * cfg.n + cfg.k))
+    for row, rep in zip(z, reps):
+        replicate_rng(cfg.seed, rep).standard_normal(out=row)
+    with np.errstate(all="ignore"):  # an overflowed draw is rejected below
         y, y0 = _responses(cfg, z)
+    alone = range(reps.size)
+    if reps.size >= LANE_MIN:
         data = DataStack(cfg.x_grid, cfg.delta_var_rule, y, y0)
         lanes = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1) & (data.ss0 > 0.0)
-    for i in np.flatnonzero(~lanes):
-        reported[reps[i]] = _fit_replicate(cfg.ci_level, lambda: (
-            FirstStageData(cfg.x_grid, y[i], cfg.delta_var_rule), SecondStageData(y0[i])), work)
-    reported[reps[lanes]] = _fit_stack(data.take(lanes), cfg.ci_level)
+        reported[reps[lanes]] = _fit_stack(data.take(lanes), cfg.ci_level)
+        alone = np.flatnonzero(~lanes)
+    for i in alone:
+        try:
+            first = FirstStageData(cfg.x_grid, y[i], cfg.delta_var_rule)
+            second = SecondStageData(y0[i])
+        except NonFiniteValue:
+            continue
+        reported[reps[i]] = _fit_replicate(cfg.ci_level, first, second, work)
+
+
+def _fit_replicate(level: float, first: FirstStageData, second: SecondStageData,
+                   work: np.ndarray):
+    """What both fits at ``level`` report for one dataset, as
+    (usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN if either fit fails
+    or the proposed fit does not converge.  ``work`` is the proposed fit's
+    workspace."""
+    try:
+        fits = (fit_usual(first, second, level=level),
+                fit_hetero(first, second, level=level, work=work))
+    except CalibrationError:
+        return np.nan
+    if not fits[1].converged:
+        return np.nan
+    return [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
 
 
 def _fit_stack(data: DataStack, level: float) -> np.ndarray:
     """What both fits report for every dataset of a stack whose readings
     differ, as an (m, usual/proposed, 4) array; NaN rows where
-    ``_fit_replicate`` gives NaN.  Row i is ``_fit_replicate`` of dataset i
-    bit for bit, whatever else the stack holds."""
-    (x0_u, var_u, ok_u), (x0_p, var_p, ok_p) = _fit_usual_lanes(data), _fit_hetero_lanes(data)
+    ``_fit_replicate`` gives NaN: where either fit's verdict fails or the
+    proposed fit does not converge.  Row i is ``_fit_replicate`` of dataset
+    i bit for bit, whatever else the stack holds."""
+    (_, _, x0_u, _, var_u), usual = _usual(data, data)
+    (_, _, x0_p, _, var_p, scaled, *_), proposed = _hetero(data, data, _newton_lanes)
     x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)
     with np.errstate(all="ignore"):  # a failed lane may hold any value; it is set NaN
         half = _half_width(var, level)
         out = np.stack((x0, var, x0 - half, x0 + half), axis=-1)
-    out[~(ok_u & ok_p)] = np.nan
+    failed = np.logical_or.reduce([lanes for _, lanes in usual + proposed])
+    out[failed | ~(scaled < SCORE_TOL)] = np.nan
     return out
 
 

@@ -13,9 +13,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col, _sum,
-                   validate)
-from .errors import InvalidLevel, NonFiniteValue, SlopeNearZero
+from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
+                   _finite_verdict, _raise_first, _require_slope, _slope_verdict, _sum, validate)
+from .errors import InvalidLevel
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
 
@@ -36,16 +36,15 @@ def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
     return float(x0_hat - half), float(x0_hat + half)
 
 
-def _fit_result(theta: Theta, var_x0: float, level: float, log_likelihood: float,
-                converged: bool = True, iterations: int = 0,
-                score_norm: float = 0.0) -> FitResult:
-    """Fit result at ``theta`` with the interval at ``level`` and the
-    expanded uncertainty that ``var_x0`` implies; both estimators report
-    their uncertainty through it, and an estimate that overflowed fails
-    here rather than being reported."""
-    if not all(map(math.isfinite, (theta.alpha, theta.beta, theta.x0, theta.sigma_eps2, var_x0))):
-        raise NonFiniteValue(f"the fit is not representable in floating point: {theta}, "
-                             f"var_x0 = {var_x0}")
+def _fit_result(fit, verdict, level: float, log_likelihood: float, converged: bool = True,
+                iterations: int = 0, score_norm: float = 0.0) -> FitResult:
+    """Fit result from ``(alpha, beta, x0, sigma_eps2, var_x0)`` with the
+    interval at ``level`` and the expanded uncertainty that ``var_x0``
+    implies; both estimators report through it.  A fit that failed its
+    ``verdict`` raises the first failed reason's error instead."""
+    alpha, beta, x0, s2, var_x0 = map(float, fit)
+    theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
+    _raise_first(verdict, beta=beta, s2=s2, theta=theta, var_x0=var_x0)
     lo, hi = confidence_interval(theta.x0, var_x0, level)
     return FitResult(
         theta_hat=theta,
@@ -60,11 +59,6 @@ def _fit_result(theta: Theta, var_x0: float, level: float, log_likelihood: float
     )
 
 
-def _finite(*values):
-    """Whether every value is finite, elementwise over stacked lanes."""
-    return np.logical_and.reduce([np.isfinite(v) for v in values])
-
-
 def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     """Large-sample variance of the estimated concentration under the
     classical model, evaluated at ``theta``.
@@ -74,8 +68,7 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if abs(theta.beta) < first.slope_threshold:
-        raise SlopeNearZero(f"slope {theta.beta} is numerically zero")
+    _require_slope(theta.beta, first)
     return float(_variance_usual(theta.beta, theta.x0, theta.sigma_eps2, first, k))
 
 
@@ -88,16 +81,18 @@ def _variance_usual(beta, x0, sigma_eps2, first, k):
 
 
 def _usual(first, second):
-    """``(alpha, beta, x0, sigma_eps2, var_x0)`` of the classical fit, over
-    the last axis of one dataset or a stack, without its checks."""
-    with np.errstate(all="ignore"):  # a numerically zero slope is checked by the caller
+    """The classical fit over the last axis of one dataset or a stack:
+    ``(alpha, beta, x0, sigma_eps2, var_x0)`` and its verdict, which fails
+    where the slope is numerically zero or an output is not finite."""
+    with np.errstate(all="ignore"):  # judged by the verdict, not reported
         n = first.n
         beta = (_sum(first.xc * first.yc) / n) / (_sum(first.xc * first.xc) / n)
         alpha, x0 = _alpha_x0(beta, first, second)
         r = first.y - _col(alpha) - _col(beta) * first.x_fixed
         sigma_eps2 = (_sum(r * r) + second.ss0) / (n + second.k)
         var_x0 = _variance_usual(beta, x0, sigma_eps2, first, second.k)
-    return alpha, beta, x0, sigma_eps2, var_x0
+    fit = alpha, beta, x0, sigma_eps2, var_x0
+    return fit, (_slope_verdict(beta, first), _finite_verdict(*fit))
 
 
 def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
@@ -109,21 +104,8 @@ def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.9
     estimate (divisor n + k).
     """
     validate(first, second)
-    alpha, beta, x0, sigma_eps2, var_x0 = map(float, _usual(first, second))
-    if abs(beta) < first.slope_threshold:
-        raise SlopeNearZero(f"slope {beta} is numerically zero")
-    theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=sigma_eps2)
-    if sigma_eps2 > 0:
-        loglik = -0.5 * (first.n + second.k) * (math.log(sigma_eps2) + 1.0)
-    else:
-        loglik = math.inf  # degenerate noiseless fit
-    return _fit_result(theta, var_x0, level, loglik)
-
-
-def _fit_usual_lanes(data):
-    """``fit_usual`` on every dataset of a stack: ``(x0, var_x0, ok)``, where
-    ``ok`` marks the lanes ``fit_usual`` returns a result for.  Equal to it
-    bit for bit."""
-    alpha, beta, x0, sigma_eps2, var_x0 = _usual(data, data)
-    ok = ~(abs(beta) < data.slope_threshold) & _finite(alpha, beta, x0, sigma_eps2, var_x0)
-    return x0, var_x0, ok
+    fit, verdict = _usual(first, second)
+    s2 = float(fit[3])
+    # infinite at the degenerate noiseless fit
+    loglik = -0.5 * (first.n + second.k) * (math.log(s2) + 1.0) if s2 > 0 else math.inf
+    return _fit_result(fit, verdict, level, loglik)

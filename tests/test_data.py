@@ -16,7 +16,6 @@ from hetcal import (
     TooFewStandards,
     fit_hetero,
     fit_usual,
-    means,
     validate,
 )
 
@@ -93,16 +92,15 @@ def test_non_finite_value_rejected(vector, bad):
 
 def test_means_tiny_example():
     first = FirstStageData(x_fixed=[0, 2, 0, 2], y=[0, 4, 0, 4], delta_var=[0] * 4)
-    # means only need the vectors, not a valid design
-    xbar, ybar, y0bar = means(first, SecondStageData(y0=[2, 2]))
-    assert (xbar, ybar, y0bar) == (1.0, 2.0, 2.0)
+    # the containers' means need only the vectors, not a valid design
+    second = SecondStageData(y0=[2, 2])
+    assert (first.xbar, first.ybar, second.y0bar) == (1.0, 2.0, 2.0)
 
 
 def test_means_of_bundled_chromium(analytes):
     first, second = analytes["chromium"]
-    xbar, _, y0bar = means(first, second)
-    assert xbar == pytest.approx(0.452, abs=1e-12)
-    assert y0bar == pytest.approx((10173.6 + 10516.9 + 10352.2) / 3, abs=1e-9)
+    assert first.xbar == pytest.approx(0.452, abs=1e-12)
+    assert second.y0bar == pytest.approx((10173.6 + 10516.9 + 10352.2) / 3, abs=1e-9)
 
 
 def test_mean_translation_equivariance():
@@ -110,14 +108,11 @@ def test_mean_translation_equivariance():
     first = FirstStageData(
         x_fixed=[0.1, 0.6, 1.4], y=rng.normal(size=3), delta_var=[0.1, 0.2, 0.3]
     )
-    second = SecondStageData(y0=rng.normal(size=4))
     shift = 17.25
     shifted = FirstStageData(
         x_fixed=first.x_fixed, y=first.y + shift, delta_var=first.delta_var
     )
-    _, ybar, _ = means(first, second)
-    _, ybar_shifted, _ = means(shifted, second)
-    assert ybar_shifted == pytest.approx(ybar + shift, rel=1e-14)
+    assert shifted.ybar == pytest.approx(first.ybar + shift, rel=1e-14)
 
 
 def test_containers_are_immutable():

@@ -416,7 +416,7 @@ def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
 def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
-    beta, s2, scaled, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5)
+    beta, s2, scaled, _, loglik, _, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5)
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
@@ -565,6 +565,17 @@ def test_fit_whose_variance_leaves_the_float_range_raises_non_finite_value(analy
               SecondStageData(unit * second.y0))
     with pytest.raises(NonFiniteValue, match="not representable"):
         fit_hetero(*scaled)
+
+
+def test_exact_line_whose_slope_overflows_raises_non_finite_value():
+    # identical readings send the fit to the exact-line case, whose
+    # least-squares slope overflows to inf; it fails as fit_usual does,
+    # with no floating-point warning on the way
+    first = FirstStageData([0.0, 1.0, 2.0], [-1.7e308, 0.0, 1.7e308], [0.0, 0.0, 0.0])
+    second = SecondStageData([1.0, 1.0])
+    for fit in (fit_usual, fit_hetero):
+        with pytest.raises(NonFiniteValue, match="not representable"):
+            fit(first, second)
 
 
 @settings(max_examples=100, deadline=None)

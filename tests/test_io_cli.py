@@ -431,6 +431,21 @@ def test_cli_fit_variance_out_of_float_range_exit_1(tmp_path, capsys, unit, mode
     assert "not representable in floating point" in captured.err
 
 
+@pytest.mark.parametrize("model", ["usual", "proposed", "both"])
+def test_cli_fit_exact_line_whose_slope_overflows_exit_1(tmp_path, capsys, model):
+    # identical readings on an exact line whose least-squares slope overflows:
+    # only the error line is printed, no floating-point warning
+    std, samp = tmp_path / "std.csv", tmp_path / "samp.csv"
+    std.write_text("X,u,Y\n0,0,-1.7e308\n1,0,0\n2,0,1.7e308\n")
+    samp.write_text("Y0\n1\n1\n")
+    code = main(["fit", "--standards", str(std), "--sample", str(samp), "--model", model])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: the fit is not representable in floating point")
+    assert captured.err.count("\n") == 1
+
+
 def test_import_does_not_load_scipy():
     import hetcal
 

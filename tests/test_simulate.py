@@ -11,8 +11,11 @@ from hetcal import (
     AllReplicatesFailed,
     FirstStageData,
     NonFiniteValue,
+    NonPositiveVariance,
     ReplicateTable,
     SecondStageData,
+    SingularInformation,
+    SlopeNearZero,
     default_delta_vars,
     default_grid,
     fit_hetero,
@@ -299,11 +302,91 @@ def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_s
     work = hetero.workspace(data.n)  # shared by the fits alone, as in simulate_replicates
     with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
         whole = simulate._fit_stack(data, 0.95)
-        alone = np.array([simulate._fit_replicate(0.95, lambda: (
-            FirstStageData(x, y[i], dv), SecondStageData(y0[i])), work) * np.ones((2, 4))
+        alone = np.array([simulate._fit_replicate(
+            0.95, FirstStageData(x, y[i], dv), SecondStageData(y0[i]), work) * np.ones((2, 4))
             for i in range(m)])
         shuffled = simulate._fit_stack(data.take(order), 0.95)
         subset = simulate._fit_stack(DataStack(x, dv, y[part], y0[part]), 0.95)
     assert np.array_equal(whole.view(np.uint64), alone.view(np.uint64))
     assert np.array_equal(shuffled.view(np.uint64), whole[order].view(np.uint64))
     assert np.array_equal(subset.view(np.uint64), whole[part].view(np.uint64))
+
+
+def _failing_datasets(reason, cadmium):
+    """Datasets whose proposed fit fails for ``reason`` (a key of
+    ``hetcal.data._FAILURES``), on a design where others fit: ``(x,
+    delta_var)``, the line ``(alpha, beta, x0)`` and the noise of responses
+    and readings of the datasets that fit, and the ``(y, y0)`` that fail."""
+    first, second = cadmium
+    x, dv, y, y0 = first.x_fixed, first.delta_var, first.y, second.y0
+    fits = (0.45, 10.5, 0.08), (0.1, 0.1)  # about the bundled cadmium
+    noise = np.random.default_rng(8).standard_normal((2, x.size))
+    if reason == "overflow":  # powers of the variance leave the float range
+        return (x, dv), *fits, [(1e60 * y, 1e60 * y0), (1e-60 * y, 1e-60 * y0)]
+    if reason == "boundary":  # an exact line and near-identical readings
+        return (x, dv), *fits, [(0.45 + 10.5 * x, [1.0, 1.0 + 1e-15])]
+    if reason == "slope":  # flat responses
+        return (x, dv), *fits, [(np.full(x.size, 3.0), y0)]
+    if reason == "weights":  # concentrations in a unit where beta * beta overflows
+        x, dv = 1e-100 * x, 1e-200 * dv
+        return ((x, dv), (0.45, 10.5e100, 0.08e-100), (0.1, 0.1),
+                [(1e55 * (0.45 + 10.5e100 * x) + 3e50 * noise[0],
+                  1e55 * 1.3 + 3e50 * noise[1, :2])])
+    if reason == "singular":  # concentrations 1e-9 apart, preparation errors 1e-5
+        x, dv = 1.0 + 1e-9 * x, np.full(x.size, 1e-10)
+        return ((x, dv), (0.1, 2.0, 1.0), (1e-5, 1e-7),
+                [(0.1 + 2.0 * x + 1e-8 * noise[0], 2.1 + 1e-7 * noise[1, :2])])
+    if reason == "finite":  # x0 overflows: readings far off a tiny slope
+        return (x, dv), *fits, [(1e-300 * x, [1e10, 1e10 + 1.0])]
+    raise ValueError(reason)
+
+
+@pytest.mark.parametrize("reason, usual_error, proposed_error", [
+    ("overflow", None, NonFiniteValue),
+    ("boundary", None, NonPositiveVariance),
+    ("slope", SlopeNearZero, SlopeNearZero),
+    ("weights", None, NonFiniteValue),
+    ("singular", None, SingularInformation),
+    ("finite", NonFiniteValue, NonFiniteValue),
+])
+def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
+                                                  proposed_error):
+    # a lane failing for any reason is NaN exactly where its dataset fitted
+    # alone is, and there each fit raises that reason's error
+    (x, dv), (alpha, beta, x0), (sd_y, sd_y0), failing = _failing_datasets(
+        reason, analytes["cadmium"])
+    rng, k = np.random.default_rng(9), len(failing[0][1])
+    y = alpha + beta * x + sd_y * rng.standard_normal((5, x.size))
+    y0 = alpha + beta * x0 + sd_y0 * rng.standard_normal((5, k))
+    bad = [1 + 2 * i for i in range(len(failing))]
+    for i, (y_bad, y0_bad) in zip(bad, failing):
+        y, y0 = np.insert(y, i, y_bad, axis=0), np.insert(y0, i, y0_bad, axis=0)
+    data = DataStack(x, dv, y, y0)
+    assert np.all(data.ss0 > 0.0)
+    work = hetero.workspace(x.size)
+    lanes = simulate._fit_stack(data, 0.95)
+    alone = np.array([simulate._fit_replicate(
+        0.95, FirstStageData(x, y[i], dv), SecondStageData(y0[i]), work) * np.ones((2, 4))
+        for i in range(len(y))])
+    assert np.array_equal(lanes.view(np.uint64), alone.view(np.uint64))
+    assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
+    # the two Newton drivers return the same seven values, failed lanes too
+    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
+    driven = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
+    for i in range(len(y)):
+        first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
+        start = hetero._start(first, second)
+        one = hetero._newton(first, second, start[0], start[2], start[1])
+        assert [np.float64(v).tobytes() for v in one] == [np.float64(v[i]).tobytes()
+                                                          for v in driven]
+    for i in bad:
+        first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
+        _, verdict = hetero._hetero(first, second, hetero._newton)
+        assert [name for name, failed in verdict if failed][0] == reason
+        with pytest.raises(proposed_error):
+            fit_hetero(first, second)
+        if usual_error is None:
+            assert fit_usual(first, second).converged
+        else:
+            with pytest.raises(usual_error):
+                fit_usual(first, second)
