@@ -10,9 +10,10 @@ summarise them once for both estimators.  ``validate`` adds what a fit
 needs: n >= 3, k >= 2 and distinct concentrations.  Both estimators read the
 intercept and the unknown concentration at their fitted slope from
 ``profile_alpha_x0``.  ``DataStack`` holds many datasets on one design, one
-per row, for the simulator's lanes; it is summarised by the same functions,
-which reduce over the last axis.  ``_FAILURES`` holds why a fit can fail:
-one dataset raises the first failed reason of its verdict, a lane fails on any.
+per row, for the simulator's replicates; it is summarised by the same
+functions, which reduce over the last axis.  ``_FAILURES`` holds why a fit
+can fail: one dataset raises the first failed reason of its verdict, a lane
+fails on any.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ class SecondStageData:
 @dataclass(frozen=True, eq=False)
 class DataStack:
     """m datasets on one design, one per row of ``y`` (m, n) and ``y0``
-    (m, k), for the simulator's lanes.
+    (m, k), for the simulator's replicates.
 
     Carries the fields of both ``FirstStageData`` and ``SecondStageData``,
     per-row ones with a leading axis of m, summarised by the same functions
@@ -180,7 +181,9 @@ class DataStack:
              y0bar=y0bar, ss0=ss0)
 
     def take(self, rows) -> DataStack:
-        """The stack of the datasets in ``rows`` (indices or a mask)."""
+        """The stack of the datasets in ``rows`` (indices or a mask).  A
+        scalar index gives that one dataset: 1-D ``y`` and ``y0`` and scalar
+        summaries, which the estimators take as they take the containers."""
         part = object.__new__(DataStack)
         _set(part, x_fixed=self.x_fixed, delta_var=self.delta_var, xbar=self.xbar,
              xc=self.xc, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})

@@ -17,15 +17,16 @@ Each formula is written once (``gamma``, ``_point``, ``_derivatives``,
 evaluate those same formulas.  Each point of the iteration is evaluated once:
 ``_point`` gives the objective and leaves 1 / gamma and d / gamma, which
 ``_derivatives`` at an accepted point reads instead of recomputing them.
-Both write every n-length intermediate into a caller's ``workspace`` with
-ufunc ``out=``, so an iteration allocates no vectors; ``fit_hetero`` takes
-one with ``work=`` and the simulator keeps one for a whole scenario.  The
-kernels reduce over the last axis, so they take one dataset or a
-``DataStack`` of datasets on one design.  ``_hetero`` fits either, by
-``_newton`` on one dataset or ``_newton_lanes`` on a stack, one lane per
-dataset; both drivers step by one rule (``_direction``, ``_trial``) with the
-same elementary operations in the same order, and one verdict judges both,
-so a lane's fit, and whether it fails, equal ``fit_hetero`` bit for bit.
+Both write every n-length intermediate into a ``workspace`` with ufunc
+``out=``, so an iteration allocates no vectors; the simulator keeps one for
+a whole scenario.  The kernels reduce over the last axis, so they take one
+dataset or a ``DataStack`` of datasets on one design.  ``_hetero`` fits
+either, picking the driver from the shape of its input: ``_newton`` on one
+dataset (``_exact`` where its readings are identical) or ``_newton_lanes``
+on a stack, one lane per dataset; both drivers step by one rule
+(``_direction``, ``_trial``) with the same elementary operations in the same
+order, and one verdict judges both, so a lane's fit, and whether it fails,
+equal ``fit_hetero`` bit for bit.
 ``variance_x0`` reads the concentration's entry of the inverse information
 from the matrix's block structure (a delta method on the sample mean and a
 Schur complement in the variance), so it needs no second copy of the matrix.
@@ -399,22 +400,24 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work=None):
     return (*best, iterations, representable)
 
 
-def _exact_fit(first, second, level: float) -> FitResult:
-    """The fit to identical readings.  Only a noiseless dataset has one: its
-    data lie exactly on a line, so the likelihood is unbounded at the
-    perfect fit with zero response variance, which is returned.  The line
-    counts as exact when the least-squares residuals are at rounding level,
-    relative to the size of the responses in whatever unit they come;
-    otherwise the variance really is driven to the boundary."""
+def _exact(first, second):
+    """The fit to identical readings, returned as ``_hetero`` returns a fit.
+    Only a noiseless dataset has one: its data lie exactly on a line, so the
+    likelihood is unbounded at the perfect fit with zero response variance,
+    which is returned.  The line counts as exact when the least-squares
+    residuals are at rounding level, relative to the size of the responses in
+    whatever unit they come; otherwise the variance really is driven to the
+    boundary."""
     beta = _start(first, second)[0]
     with np.errstate(all="ignore"):  # an overflowed slope fails the verdict
         r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
         alpha, x0 = _alpha_x0(beta, first, second)
         # a zero slope also covers all-zero responses, which have no size
-        inexact = (abs(beta) < first.slope_threshold
+        inexact = (_slope_verdict(beta, first)[1]
                    or float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2)
-    return _fit_result((alpha, beta, x0, 0.0, 0.0),
-                       (("identical", inexact), _finite_verdict(alpha, beta, x0)), level, math.inf)
+    zero = np.float64(0.0)  # numpy, so that a caller's ~(scaled < tol) stays boolean
+    return ((alpha, beta, x0, zero, zero, zero, zero, math.inf, 0),
+            (("identical", inexact), _finite_verdict(alpha, beta, x0)))
 
 
 def _start(first, second):
@@ -432,11 +435,16 @@ def _start(first, second):
         return beta0, beta_scale, s2_0, floor
 
 
-def _hetero(first, second, newton, work=None):
-    """The proposed fit over the last axis of one dataset (``newton`` is
-    ``_newton``) or a ``DataStack`` given as both stages (``_newton_lanes``):
+def _hetero(first, second, work=None):
+    """The proposed fit over the last axis of one dataset, or of a
+    ``DataStack`` given as both stages whose readings all differ:
     ``(alpha, beta, x0, s2, var_x0, scaled score, score norm, log-likelihood,
-    iterations)`` and its verdict, in the order it is judged."""
+    iterations)`` and its verdict, in the order it is judged.  A stack runs
+    ``_newton_lanes``, one dataset ``_newton`` in the workspace ``work`` (by
+    default a fresh one), or ``_exact`` where its readings are identical."""
+    if first.y.ndim == 1 and second.ss0 <= 0.0:
+        return _exact(first, second)
+    newton = _newton_lanes if first.y.ndim > 1 else _newton
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
         beta0, beta_scale, s2_0, floor = _start(first, second)
         beta, s2, scaled, norm, loglik, iterations, representable = newton(
@@ -449,8 +457,7 @@ def _hetero(first, second, newton, work=None):
     return (alpha, beta, x0, s2, var, scaled, norm, loglik, iterations), verdict
 
 
-def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95, *,
-               work: np.ndarray | None = None) -> FitResult:
+def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
     """Fit the heteroscedastic controlled calibration model.
 
     Maximizes the profiled log-likelihood over (slope, log response-variance)
@@ -460,18 +467,8 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     returned iterate are below ``SCORE_TOL``; otherwise the iterate with the
     smallest scaled score is returned with ``converged=False``.
     ``iterations`` counts Newton steps, at most ``MAX_ITERATIONS``.
-
-    ``work``, from ``workspace(first.n)``, is the iteration's scratch space;
-    a caller fitting many datasets of one size passes the same one to each
-    fit, which keeps long fits from allocating and freeing it every time.
-    By default each fit allocates its own.  The result does not depend on it.
     """
     validate(first, second)
-    if work is not None and (work.shape, work.dtype) != ((_ROWS, first.n), np.float64):
-        raise ValueError(f"work must be a workspace({first.n}): float64 of shape "
-                         f"{(_ROWS, first.n)}, not {work.dtype} of shape {work.shape}")
-    if second.ss0 <= 0.0:
-        return _exact_fit(first, second, level)
-    fit, verdict = _hetero(first, second, _newton, work)
+    fit, verdict = _hetero(first, second)
     scaled, norm, loglik, iterations = map(float, fit[5:])
     return _fit_result(fit[:5], verdict, level, loglik, scaled < SCORE_TOL, int(iterations), norm)

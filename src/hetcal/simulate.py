@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataStack, FirstStageData, SecondStageData, Theta, validate
-from .errors import AllReplicatesFailed, CalibrationError, NonFiniteValue
-from .hetero import SCORE_TOL, _hetero, _newton_lanes, fit_hetero, variance_x0, workspace
-from .usual import _half_width, _usual, fit_usual, variance_usual
+from .data import DataStack, FirstStageData, SecondStageData, Theta, _slope_verdict, validate
+from .errors import AllReplicatesFailed, CalibrationError
+from .hetero import SCORE_TOL, _hetero, variance_x0, workspace
+from .usual import _half_width, _usual, variance_usual
 
 # array elements of one chunk of replicates (2n + k per replicate).  The value
 # was set when the lanes were introduced and has not been measured again since
@@ -77,7 +77,7 @@ class ScenarioConfig:
             raise ValueError(f"scenario design: x_grid has {first.n} entries, n is {self.n}")
         object.__setattr__(self, "x_grid", first.x_fixed)
         object.__setattr__(self, "delta_var_rule", first.delta_var)
-        if abs(self.beta_true) < first.slope_threshold:
+        if _slope_verdict(self.beta_true, first)[1]:
             raise ValueError(f"beta = {self.beta_true} is numerically zero against alpha on "
                              "the grid: the concentration is undefined at zero slope")
         if not 0.0 <= self.sigma_eps2_true < math.inf:
@@ -196,9 +196,11 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     read from those stacked values, so the table measures the interval each
     fit actually reports; a failed replicate is a row left NaN.
 
-    Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)`` (``_fit_chunk``).
-    Each gets the result ``fit_usual`` and ``fit_hetero`` give its dataset,
-    bit for bit, so the table does not depend on the chunking.
+    Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)`` (``_fit_chunk``),
+    and ``_fit`` reports both fits of a chunk's lanes at once and of every
+    other replicate alone.  Each replicate gets the result ``fit_usual`` and
+    ``fit_hetero`` give its dataset, bit for bit, so the table does not
+    depend on the chunking.
     """
     # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
     reported = np.full((cfg.n_reps, 2, 4), np.nan)
@@ -223,58 +225,39 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
 def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work: np.ndarray):
     """Draw the replicates ``reps`` and fit them into ``reported``: as lanes,
     in a chunk of at least ``LANE_MIN``, the finite draws whose readings
-    differ (``ss0 > 0``); alone, in the workspace ``work``, every other draw
-    the containers accept.  A draw they reject as non-finite stays NaN."""
+    differ (``ss0 > 0``); alone, in the workspace ``work``, every other
+    finite draw.  A non-finite draw stays NaN."""
     z = np.empty((reps.size, 2 * cfg.n + cfg.k))
     for row, rep in zip(z, reps):
         replicate_rng(cfg.seed, rep).standard_normal(out=row)
-    with np.errstate(all="ignore"):  # an overflowed draw is rejected below
+    with np.errstate(all="ignore"):  # an overflowed draw is left out below
         y, y0 = _responses(cfg, z)
-    alone = range(reps.size)
-    if reps.size >= LANE_MIN:
-        data = DataStack(cfg.x_grid, cfg.delta_var_rule, y, y0)
-        lanes = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1) & (data.ss0 > 0.0)
-        reported[reps[lanes]] = _fit_stack(data.take(lanes), cfg.ci_level)
-        alone = np.flatnonzero(~lanes)
-    for i in alone:
-        try:
-            first = FirstStageData(cfg.x_grid, y[i], cfg.delta_var_rule)
-            second = SecondStageData(y0[i])
-        except NonFiniteValue:
-            continue
-        reported[reps[i]] = _fit_replicate(cfg.ci_level, first, second, work)
+    data = DataStack(cfg.x_grid, cfg.delta_var_rule, y, y0)
+    finite = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1)
+    lanes = finite & (data.ss0 > 0.0) & (reps.size >= LANE_MIN)
+    if lanes.any():
+        reported[reps[lanes]] = _fit(data.take(lanes), cfg.ci_level)
+    for i in np.flatnonzero(finite & ~lanes):
+        reported[reps[i]] = _fit(data.take(i), cfg.ci_level, work)
 
 
-def _fit_replicate(level: float, first: FirstStageData, second: SecondStageData,
-                   work: np.ndarray):
-    """What both fits at ``level`` report for one dataset, as
-    (usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN if either fit fails
-    or the proposed fit does not converge.  ``work`` is the proposed fit's
-    workspace."""
-    try:
-        fits = (fit_usual(first, second, level=level),
-                fit_hetero(first, second, level=level, work=work))
-    except CalibrationError:
-        return np.nan
-    if not fits[1].converged:
-        return np.nan
-    return [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
-
-
-def _fit_stack(data: DataStack, level: float) -> np.ndarray:
-    """What both fits report for every dataset of a stack whose readings
-    differ, as an (m, usual/proposed, 4) array; NaN rows where
-    ``_fit_replicate`` gives NaN: where either fit's verdict fails or the
-    proposed fit does not converge.  Row i is ``_fit_replicate`` of dataset
-    i bit for bit, whatever else the stack holds."""
+def _fit(data: DataStack, level: float, work: np.ndarray | None = None) -> np.ndarray:
+    """What both fits at ``level`` report over the last axis of a stack whose
+    readings differ, or of one dataset (``data.take(i)``), as (...,
+    usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN where either fit's
+    verdict fails or the proposed fit does not converge.  A dataset's block
+    is what ``fit_usual`` and ``fit_hetero`` report on it, bit for bit,
+    whatever else the stack holds.  ``work`` is the workspace of one
+    dataset's proposed fit."""
     (_, _, x0_u, _, var_u), usual = _usual(data, data)
-    (_, _, x0_p, _, var_p, scaled, *_), proposed = _hetero(data, data, _newton_lanes)
+    (_, _, x0_p, _, var_p, scaled, *_), proposed = _hetero(data, data, work)
     x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)
     with np.errstate(all="ignore"):  # a failed lane may hold any value; it is set NaN
         half = _half_width(var, level)
         out = np.stack((x0, var, x0 - half, x0 + half), axis=-1)
     failed = np.logical_or.reduce([lanes for _, lanes in usual + proposed])
-    out[failed | ~(scaled < SCORE_TOL)] = np.nan
+    # np.less keeps one dataset's mask a numpy bool: ~ of a Python bool is an integer index
+    out[failed | ~np.less(scaled, SCORE_TOL)] = np.nan
     return out
 
 

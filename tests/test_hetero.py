@@ -473,28 +473,6 @@ def test_newton_in_a_caller_workspace_allocates_no_vector():
     assert peak < first.n * 8  # less than one n-vector of float64
 
 
-def test_a_fit_in_a_caller_workspace_equals_the_default_fit(analytes):
-    rng = np.random.default_rng(6)
-    datasets = list(analytes.values()) + [make_model_dataset(rng, n=20)[:2] for _ in range(4)]
-    shared = workspace(20)
-    for first, second in datasets:
-        alone = fit_hetero(first, second)
-        for work in (workspace(first.n), shared):
-            if work.shape[1] != first.n:
-                continue
-            # what a workspace holds before a fit does not reach the result
-            work.fill(np.nan)
-            assert repr(fit_hetero(first, second, work=work)) == repr(alone)
-            assert repr(fit_hetero(first, second, work=work)) == repr(alone)
-
-
-def test_a_workspace_of_another_size_or_type_is_rejected(analytes):
-    first, second = analytes["lead"]
-    for work in (workspace(first.n + 1), workspace(first.n).astype(np.float32)):
-        with pytest.raises(ValueError, match="workspace"):
-            fit_hetero(first, second, work=work)
-
-
 def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
     monkeypatch.setattr(hetero, "MAX_ITERATIONS", 1)
     res = fit_hetero(*analytes["lead"])

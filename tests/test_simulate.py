@@ -4,11 +4,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetcal import (
     AllReplicatesFailed,
+    CalibrationError,
     FirstStageData,
     NonFiniteValue,
     NonPositiveVariance,
@@ -178,7 +179,11 @@ def test_failures_are_counted_and_excluded():
     cfg = make_scenario(n=5, k=3, x0=0.8, sigma_eps2=0.0, n_reps=5, seed=8)
     table = simulate_replicates(cfg)
     assert np.all(table.failed)
-    assert np.all(np.isnan(table.err_proposed))
+    # a failed replicate is NaN in every field of both fits, and covers nothing
+    for values in (table.err_usual, table.err_proposed, table.var_usual, table.var_proposed,
+                   table.halfwidth_usual, table.halfwidth_proposed):
+        assert np.all(np.isnan(values))
+    assert not table.covered_usual.any() and not table.covered_proposed.any()
 
 
 @pytest.mark.parametrize("n, k, n_reps, lanes", [(5, 2, 60, True), (20, 20, 60, True),
@@ -272,7 +277,9 @@ def test_chunked_lanes_give_the_table_of_one_chunk(monkeypatch, max_iterations):
 @st.composite
 def design_stacks(draw):
     """m datasets on one design drawn from the heteroscedastic model, one
-    per row, from the ranges of ``model_datasets``."""
+    per row, from the ranges of ``model_datasets``.  In some stacks, rows
+    get identical readings, on their noisy responses (the exact fit fails)
+    or on an exact line (it holds)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, k, m = draw(st.integers(3, 12)), draw(st.integers(2, 8)), draw(st.integers(1, 12))
     beta = draw(st.floats(0.5, 50.0) | st.floats(-50.0, -0.5))
@@ -283,33 +290,59 @@ def design_stacks(draw):
     y = (1.0 + beta * (x - rng.standard_normal((m, n)) * np.sqrt(dv))
          + rng.standard_normal((m, n)) * noise)
     y0 = 1.0 + beta * x0 + rng.standard_normal((m, k)) * noise
+    kind = rng.integers(0, 3, m) if draw(st.booleans()) else np.zeros(m)
+    y0[kind > 0] = round(1.0 + beta * x0)  # an integer, so the readings' mean is exact
+    y[kind == 2] = 1.0 + beta * x
     return x, dv, y, y0
+
+
+def _own_fits(x, dv, y, y0):
+    """What ``fit_usual`` and ``fit_hetero`` report on each dataset
+    ``(x, y[i], dv)``, ``y0[i]`` built as containers, as (m, usual/proposed,
+    x0/var_x0/ci_lower/ci_upper); NaN where either fit raises or the
+    proposed fit does not converge."""
+    out = np.full((len(y), 2, 4), np.nan)
+    for i in range(len(y)):
+        first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
+        try:
+            fits = fit_usual(first, second), fit_hetero(first, second)
+        except CalibrationError:
+            continue
+        if fits[1].converged:
+            out[i] = [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
+    return out
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @settings(max_examples=100, deadline=None)
 @given(stack=design_stacks(), max_iterations=st.sampled_from([hetero.MAX_ITERATIONS, 1, 2, 4]),
        order_seed=st.integers(0, 2**32 - 1))
 def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_seed):
-    # each lane's (x0, var_x0, ci) of both fits, and whether it fails, are
-    # those of its dataset fitted alone, bit for bit, whatever the stack's
-    # size and order; capping the Newton steps makes some lanes fail
+    # each dataset's (x0, var_x0, ci) of both fits, and whether it fails, are
+    # what fit_usual and fit_hetero report on it, bit for bit: fitted alone
+    # as one dataset of the stack, in a shared workspace, or as a lane of a
+    # stack of any size and order.  Identical readings are fitted alone;
+    # capping the Newton steps makes some fits fail
     x, dv, y, y0 = stack
     data = DataStack(x, dv, y, y0)
-    assume(np.all(data.ss0 > 0.0))  # identical readings are fitted alone
-    m = y.shape[0]
+    lanes = np.flatnonzero(data.ss0 > 0.0)
     rng = np.random.default_rng(order_seed)
-    order, part = rng.permutation(m), rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+    order = rng.permutation(lanes)
+    part = rng.choice(lanes, size=rng.integers(0, lanes.size + 1), replace=False)
     work = hetero.workspace(data.n)  # shared by the fits alone, as in simulate_replicates
     with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
-        whole = simulate._fit_stack(data, 0.95)
-        alone = np.array([simulate._fit_replicate(
-            0.95, FirstStageData(x, y[i], dv), SecondStageData(y0[i]), work) * np.ones((2, 4))
-            for i in range(m)])
-        shuffled = simulate._fit_stack(data.take(order), 0.95)
-        subset = simulate._fit_stack(DataStack(x, dv, y[part], y0[part]), 0.95)
-    assert np.array_equal(whole.view(np.uint64), alone.view(np.uint64))
-    assert np.array_equal(shuffled.view(np.uint64), whole[order].view(np.uint64))
-    assert np.array_equal(subset.view(np.uint64), whole[part].view(np.uint64))
+        own = _own_fits(x, dv, y, y0)
+        alone = np.array([simulate._fit(data.take(i), 0.95, work) for i in range(len(y))])
+        whole = simulate._fit(data.take(lanes), 0.95)
+        shuffled = simulate._fit(data.take(order), 0.95)
+        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), 0.95)
+    _assert_same_bits(alone, own)
+    _assert_same_bits(whole, own[lanes])
+    _assert_same_bits(shuffled, own[order])
+    _assert_same_bits(subset, own[part])
 
 
 def _failing_datasets(reason, cadmium):
@@ -351,8 +384,9 @@ def _failing_datasets(reason, cadmium):
 ])
 def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
                                                   proposed_error):
-    # a lane failing for any reason is NaN exactly where its dataset fitted
-    # alone is, and there each fit raises that reason's error
+    # a dataset failing for any reason is NaN, as a lane and fitted alone,
+    # exactly where fit_usual or fit_hetero on it fails, and there each fit
+    # raises that reason's error
     (x, dv), (alpha, beta, x0), (sd_y, sd_y0), failing = _failing_datasets(
         reason, analytes["cadmium"])
     rng, k = np.random.default_rng(9), len(failing[0][1])
@@ -363,12 +397,12 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
         y, y0 = np.insert(y, i, y_bad, axis=0), np.insert(y0, i, y0_bad, axis=0)
     data = DataStack(x, dv, y, y0)
     assert np.all(data.ss0 > 0.0)
+    own = _own_fits(x, dv, y, y0)
     work = hetero.workspace(x.size)
-    lanes = simulate._fit_stack(data, 0.95)
-    alone = np.array([simulate._fit_replicate(
-        0.95, FirstStageData(x, y[i], dv), SecondStageData(y0[i]), work) * np.ones((2, 4))
-        for i in range(len(y))])
-    assert np.array_equal(lanes.view(np.uint64), alone.view(np.uint64))
+    lanes = simulate._fit(data, 0.95)
+    _assert_same_bits(lanes, own)
+    _assert_same_bits(np.array([simulate._fit(data.take(i), 0.95, work)
+                                for i in range(len(y))]), own)
     assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
     # the two Newton drivers return the same seven values, failed lanes too
     beta0, beta_scale, s2_0, _ = hetero._start(data, data)
@@ -381,7 +415,7 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
                                                           for v in driven]
     for i in bad:
         first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
-        _, verdict = hetero._hetero(first, second, hetero._newton)
+        _, verdict = hetero._hetero(first, second)
         assert [name for name, failed in verdict if failed][0] == reason
         with pytest.raises(proposed_error):
             fit_hetero(first, second)
