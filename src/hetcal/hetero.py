@@ -338,17 +338,14 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work=None):
     dataset, from arrays of starts; ``first`` and ``second`` are the stack.
 
     Each lane takes the steps ``_newton`` takes on its dataset alone: the
-    running lanes share one iteration count, a lane that stops is frozen,
-    and the line search evaluates only the lanes still halving.  Returns
-    ``_newton``'s seven values as arrays.
-
-    Each point is evaluated once, into the leading lanes of ``work`` (by
-    default a fresh one).  A line search round on a subset of the running
-    lanes is evaluated in a second workspace and its point rows copied to
-    the lanes' own, so ``_derivatives`` finds every lane's accepted point.
+    running lanes share one iteration count, and a lane that stops is frozen
+    and dropped from the stack.  Every line search round evaluates all the
+    running lanes, into the leading lanes of ``work`` (by default a fresh
+    one); a lane that has stopped halving evaluates its same trial point
+    again, to the same bits, so ``_derivatives`` finds every lane's accepted
+    point there.  Returns ``_newton``'s seven values as arrays.
     """
     data, m = first, beta.size
-    spare = workspace(*data.y.shape)
     if work is None:
         work = workspace(*data.y.shape)
     with np.errstate(all="ignore"):
@@ -372,22 +369,14 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work=None):
             iterations[lanes[fine]] += 1
             du, dv, t, ok = _direction(beta, s2, beta_scale, r_beta, r_sigma, h_bb, h_bs, h_ss)
             lowest = value - 1e-12 * (abs(value) + 1.0)
-            step = np.zeros(lanes.size)
-            beta_new, s2_new, value_new = beta.copy(), s2.copy(), value.copy()
-            search = np.flatnonzero(fine & ok)
-            while search.size:
-                whole = search.size == lanes.size
-                part = data if whole else data.take(search)
-                into = here if whole else spare[:, :search.size]
-                st, b, s = _trial(beta[search], s2[search], beta_scale[search], t[search],
-                                  du[search], dv[search])
-                v = _point(part, b, s, part.ss0, part.k, into)
-                if not whole:  # the rows _derivatives reads, to the lanes' own
-                    here[:2, search] = into[:2]
-                step[search], beta_new[search], s2_new[search], value_new[search] = st, b, s, v
-                halve = ~((v >= lowest[search]) | (st < 1e-14))
-                t[search[halve]] *= 0.5
-                search = search[halve]
+            halve = fine & ok
+            while True:
+                step, beta_new, s2_new = _trial(beta, s2, beta_scale, t, du, dv)
+                value_new = _point(data, beta_new, s2_new, data.ss0, data.k, here)
+                halve &= ~((value_new >= lowest) | (step < 1e-14))
+                if not halve.any():
+                    break
+                t = np.where(halve, 0.5 * t, t)
             # a lane stops where no step was found or kept, or after a step below 1e-14
             keep = fine & ok & ~(value_new < lowest) & ~(step < 1e-14)
             if not keep.any():

@@ -148,6 +148,9 @@ def parse_scenarios(data) -> list[ScenarioConfig]:
         raise ParseError(f"scenario file: unknown columns {unknown}")
     configs = []
     for lineno, rec in enumerate(reader, start=2):
+        if None in rec:  # DictReader files the cells past the header under None
+            raise ParseError(f"scenario file: row {lineno} has {len(names) + len(rec[None])} "
+                             f"fields, expected {len(names)}")
         try:
             n = int(rec["n"])
             grid = rec.get("x_grid")

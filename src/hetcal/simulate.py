@@ -84,6 +84,8 @@ class ScenarioConfig:
             raise ValueError("sigma_eps2 must be nonnegative and finite")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        if self.seed < 0:  # the replicate substreams are seeded with (seed, rep)
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
 

@@ -136,6 +136,12 @@ def test_parse_scenarios_rejects_bad_files():
         parse_scenarios("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n")
     with pytest.raises(ParseError, match="row 2"):
         parse_scenarios("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n5,2,x,0,2,0.04,10,1\n")
+    with pytest.raises(ParseError, match="row 3 has 10 fields, expected 8"):
+        parse_scenarios("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n5,2,0.8,0.1,2.0,0.04,10,1\n"
+                        "5,2,0.8,0.1,2.0,0.04,10,1,99,98\n")
+    # trailing optional cells may be left out
+    assert len(parse_scenarios("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,ci_level,x_grid\n"
+                               "5,2,0.8,0.1,2.0,0.04,10,1\n5,2,0.8,0.1,2.0,0.04,10,1,0.9\n")) == 2
 
 
 def test_bundled_scenario_file_parses():
@@ -358,15 +364,18 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     scen.write_text("wrong,header\n1,2\n")
     assert main(["simulate", "--scenarios", str(scen),
                  "--out", str(tmp_path / "o.csv")]) == 1
+    capsys.readouterr()
     # scenarios that cannot give a fittable dataset are input errors too
     header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
     for row in ("5,2,0.8,0.1,2.0,-0.04,10,1", "5,2,0.8,0.1,2.0,nan,10,1",
                 "5,2,nan,0.1,2.0,0.04,10,1", "5,1,0.8,0.1,2.0,0.04,10,1",
                 "2,2,0.8,0.1,2.0,0.04,10,1", "5,2,0.8,0.1,0,0.04,10,1",
-                "5,2,0.8,0.1,1e-20,0.04,10,1"):
-        scen.write_text(header + row + "\n")
+                "5,2,0.8,0.1,1e-20,0.04,10,1", "5,2,0.8,0.1,2.0,0.04,10,-1"):
+        # rejected with the file, before the valid first row runs
+        scen.write_text(header + "5,2,0.8,0.1,2.0,0.04,10,1\n" + row + "\n")
         out = tmp_path / "o.csv"
         assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1, row
+        assert capsys.readouterr().err.startswith("error: scenario file: row 3: "), row
         assert not out.exists()
     scen.write_text(header.strip() + ",x_grid\n5,2,0.8,0.1,2.0,0.04,10,1,1;1;1;1;1\n")
     assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1

@@ -123,7 +123,7 @@ def test_config_validation():
            dict(delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
            dict(delta_vars=[0.1, nan, 0.1, 0.1, 0.1]),
            dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0]), dict(x_grid=[1.0] * 5),
-           dict(beta=0.0), dict(beta=-0.0), dict(alpha=0.1, beta=1e-20)]
+           dict(beta=0.0), dict(beta=-0.0), dict(alpha=0.1, beta=1e-20), dict(seed=-1)]
     for kwargs in bad:
         with pytest.raises(ValueError):
             make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
@@ -424,3 +424,37 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
         else:
             with pytest.raises(usual_error):
                 fit_usual(first, second)
+
+
+def test_lanes_that_halve_and_lanes_that_do_not_share_a_line_search():
+    # distant starts make some lanes halve their first trial while the others
+    # keep it and evaluate it again in the same round; each lane still
+    # returns _newton's seven values on its own dataset from its own start
+    x, dv, m = default_grid(5), default_delta_vars(5), 12
+    rng = np.random.default_rng(3)
+    y = 0.1 + 2.0 * (x - rng.standard_normal((m, 5)) * np.sqrt(dv)) + 0.2 * rng.standard_normal(
+        (m, 5))
+    data = DataStack(x, dv, y, 1.7 + 0.2 * rng.standard_normal((m, 2)))
+    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
+    far = np.arange(m) % 3 == 0
+    beta0, s2_0 = np.where(far, 50.0 * beta0, beta0), np.where(far, 1e4 * s2_0, s2_0)
+    rounds = []  # each line search's trial lengths, one array per trial
+    trial, direction = hetero._trial, hetero._direction
+
+    def record_direction(*args):
+        rounds.append([])
+        return direction(*args)
+
+    def record_trial(beta, s2, beta_scale, t, du, dv):
+        rounds[-1].append(np.array(t))
+        return trial(beta, s2, beta_scale, t, du, dv)
+
+    with patch.object(hetero, "_direction", record_direction), \
+            patch.object(hetero, "_trial", record_trial):
+        lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
+    assert any(len(t) > 1 and (t[1] == t[0]).any() and (t[1] < t[0]).any() for t in rounds)
+    for i in range(m):
+        one = data.take(i)
+        alone = hetero._newton(one, one, beta0[i], s2_0[i], beta_scale[i])
+        assert [np.float64(v).tobytes() for v in alone] == [np.float64(v[i]).tobytes()
+                                                            for v in lanes]
