@@ -3,6 +3,10 @@
 Standard uncertainties enter here and nowhere else: the standards file
 carries a ``u`` column and this module squares it into the error variances,
 so the estimation code only ever sees variances.
+
+Every input file is read by ``_read_rows`` under one rule: column names are
+trimmed and read by name, in any order, each at most once; blank lines are
+skipped; trailing optional cells may be left out; errors name the file line.
 """
 
 from __future__ import annotations
@@ -44,43 +48,55 @@ def _decode(data) -> str:
     return str(data)
 
 
-def _read_rows(text: str, expected_header: list[str], what: str):
-    reader = csv.reader(_io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(f"{what}: empty file") from None
-    header = [h.strip() for h in header]
-    if header != expected_header:
-        raise ParseError(
-            f"{what}: expected header {','.join(expected_header)}, "
-            f"got {','.join(header)}"
-        )
+def _read_rows(data, what: str, required: list[str], optional=()):
+    """The trimmed header of a CSV file, which holds every ``required``
+    column and nothing outside ``required + optional``, each at most once,
+    and each non-blank row as ``(file line, cells)``.  A row may leave out
+    the cells after its last required column, but may not run past the
+    header."""
+    reader = csv.reader(_io.StringIO(_decode(data)))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{what}: empty file")
+    header = [name.strip() for name in header]
+    for problem, names in (
+        ("is missing", [c for c in required if c not in header]),
+        ("has unknown", [c for c in header if c not in required and c not in optional]),
+        ("repeats", [c for i, c in enumerate(header) if c in header[:i]]),
+    ):
+        if names:
+            raise ParseError(f"{what}: header {problem} columns {names}")
+    least = 1 + max(map(header.index, required))
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
+    for cells in reader:
+        if not "".join(cells).strip():
             continue
-        if len(row) != len(expected_header):
-            raise ParseError(
-                f"{what}: row {lineno} has {len(row)} fields, "
-                f"expected {len(expected_header)}"
-            )
-        parsed = []
-        for col, cell in zip(expected_header, row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                raise ParseError(
-                    f"{what}: row {lineno}, column {col}: "
-                    f"{cell!r} is not a number"
-                ) from None
-        rows.append(parsed)
-    return rows
+        if not least <= len(cells) <= len(header):
+            raise ParseError(f"{what}: row {reader.line_num} has {len(cells)} fields, "
+                             f"expected {len(header)}")
+        rows.append((reader.line_num, cells))
+    return header, rows
+
+
+def _number(cell: str, what: str, line: int, col: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ParseError(f"{what}: row {line}, column {col}: {cell!r} is not a number") from None
+
+
+def _read_numbers(data, what: str, columns: list[str]):
+    """A file of numeric ``columns``, read by name: each row's file line, and
+    each row's values in the order of ``columns``."""
+    header, rows = _read_rows(data, what, columns)
+    order = [(col, header.index(col)) for col in columns]
+    return ([line for line, _ in rows],
+            [[_number(cells[i], what, line, col) for col, i in order] for line, cells in rows])
 
 
 def parse_first_stage(data) -> FirstStageData:
-    """Read a standards CSV with header ``X,u,Y``; variances are ``u**2``."""
-    rows = _read_rows(_decode(data), STANDARDS_HEADER, "standards file")
+    """Read a standards CSV with columns ``X,u,Y``; variances are ``u**2``."""
+    lines, rows = _read_numbers(data, "standards file", STANDARDS_HEADER)
     if len(rows) < 3:
         raise TooFewStandards(
             f"standards file has {len(rows)} data rows, need at least 3"
@@ -90,14 +106,14 @@ def parse_first_stage(data) -> FirstStageData:
     if np.any(u < 0):
         bad = int(np.flatnonzero(u < 0)[0])
         raise NegativeUncertainty(
-            f"standards file: row {bad + 2} has negative uncertainty {u[bad]}"
+            f"standards file: row {lines[bad]} has negative uncertainty {u[bad]}"
         )
     return FirstStageData(x_fixed=arr[:, 0], y=arr[:, 2], delta_var=u * u)
 
 
 def parse_second_stage(data) -> SecondStageData:
-    """Read a sample CSV with header ``Y0``; readings keep file order."""
-    rows = _read_rows(_decode(data), SAMPLE_HEADER, "sample file")
+    """Read a sample CSV with column ``Y0``; readings keep file order."""
+    rows = _read_numbers(data, "sample file", SAMPLE_HEADER)[1]
     if len(rows) < 2:
         raise TooFewReplicates(
             f"sample file has {len(rows)} data rows, need at least 2"
@@ -125,8 +141,9 @@ def write_second_stage(second: SecondStageData) -> str:
     return _csv(SAMPLE_HEADER, ([v] for v in second.y0.tolist()))
 
 
-def _parse_vector(cell: str) -> np.ndarray:
-    return np.asarray([float(v) for v in cell.split(";") if v.strip() != ""])
+def _parse_vector(cell: str):
+    """A semicolon-separated vector, or None for an empty cell."""
+    return np.asarray([float(v) for v in cell.split(";") if v.strip() != ""]) if cell else None
 
 
 def parse_scenarios(data) -> list[ScenarioConfig]:
@@ -136,42 +153,20 @@ def parse_scenarios(data) -> list[ScenarioConfig]:
     columns ``ci_level``, and semicolon-separated ``x_grid`` / ``delta_vars``
     vectors overriding the default design rules.
     """
-    reader = csv.DictReader(_io.StringIO(_decode(data)))
-    if reader.fieldnames is None:
-        raise ParseError("scenario file: empty file")
-    names = [f.strip() for f in reader.fieldnames]
-    missing = [f for f in SCENARIO_FIELDS if f not in names]
-    if missing:
-        raise ParseError(f"scenario file: missing columns {missing}")
-    unknown = [f for f in names if f not in SCENARIO_FIELDS + SCENARIO_OPTIONAL]
-    if unknown:
-        raise ParseError(f"scenario file: unknown columns {unknown}")
+    header, rows = _read_rows(data, "scenario file", SCENARIO_FIELDS, SCENARIO_OPTIONAL)
     configs = []
-    for lineno, rec in enumerate(reader, start=2):
-        if None in rec:  # DictReader files the cells past the header under None
-            raise ParseError(f"scenario file: row {lineno} has {len(names) + len(rec[None])} "
-                             f"fields, expected {len(names)}")
+    for line, cells in rows:
+        rec = dict.fromkeys(SCENARIO_OPTIONAL, "")  # optional cells left out are empty
+        rec.update(zip(header, cells))
         try:
-            n = int(rec["n"])
-            grid = rec.get("x_grid")
-            dvars = rec.get("delta_vars")
-            configs.append(
-                make_scenario(
-                    n=n,
-                    k=int(rec["k"]),
-                    x0=float(rec["x0"]),
-                    alpha=float(rec["alpha"]),
-                    beta=float(rec["beta"]),
-                    sigma_eps2=float(rec["sigma_eps2"]),
-                    n_reps=int(rec["n_reps"]),
-                    seed=int(rec["seed"]),
-                    ci_level=float(rec["ci_level"]) if rec.get("ci_level") else 0.95,
-                    x_grid=_parse_vector(grid) if grid else None,
-                    delta_vars=_parse_vector(dvars) if dvars else None,
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"scenario file: row {lineno}: {exc}") from exc
+            configs.append(make_scenario(
+                n=int(rec["n"]), k=int(rec["k"]), x0=float(rec["x0"]), alpha=float(rec["alpha"]),
+                beta=float(rec["beta"]), sigma_eps2=float(rec["sigma_eps2"]),
+                n_reps=int(rec["n_reps"]), seed=int(rec["seed"]),
+                ci_level=float(rec["ci_level"] or 0.95),
+                x_grid=_parse_vector(rec["x_grid"]), delta_vars=_parse_vector(rec["delta_vars"])))
+        except ValueError as exc:
+            raise ParseError(f"scenario file: row {line}: {exc}") from exc
     if not configs:
         raise ParseError("scenario file: no scenario records")
     return configs

@@ -59,18 +59,40 @@ def test_parse_standards_zero_uncertainty_is_valid_reduction_path():
 
 
 def test_parse_standards_negative_uncertainty_rejected():
-    with pytest.raises(NegativeUncertainty):
+    with pytest.raises(NegativeUncertainty, match="row 3 "):
         parse_first_stage("X,u,Y\n0,0,1\n1,-1e-4,2\n2,0,3\n")
+    # the row named is the file line, blank lines counted
+    with pytest.raises(NegativeUncertainty, match="row 4 "):
+        parse_first_stage("X,u,Y\n0,0,1\n\n1,-1e-4,2\n2,0,3\n")
 
 
 def test_parse_standards_bad_cell_has_row_and_column():
     with pytest.raises(ParseError, match="row 3.*column u"):
         parse_first_stage("X,u,Y\n0,0,1\n1,oops,2\n2,0,3\n")
+    with pytest.raises(ParseError, match="row 5.*column Y"):
+        parse_first_stage("X,u,Y\n0,0,1\n\n  \n1,0,oops\n2,0,3\n")
 
 
 def test_parse_standards_wrong_header_rejected():
-    with pytest.raises(ParseError, match="header"):
+    with pytest.raises(ParseError, match="header is missing"):
         parse_first_stage("conc,u,signal\n0,0,1\n")
+    with pytest.raises(ParseError, match="header has unknown columns \\['Z'\\]"):
+        parse_first_stage("X,u,Y,Z\n0,0,1,0\n1,0,2,0\n2,0,3,0\n")
+    with pytest.raises(ParseError, match="header repeats columns \\['Y'\\]"):
+        parse_first_stage("X,u,Y,Y\n0,0,1,1\n1,0,2,2\n2,0,3,3\n")
+    with pytest.raises(ParseError, match="row 3 has 2 fields, expected 3"):
+        parse_first_stage("X,u,Y\n0,0,1\n1,0\n2,0,3\n")
+
+
+def test_parse_standards_reads_columns_by_trimmed_name():
+    text = "X,u,Y\n0,0,1.0\n1,0.1,3.1\n2,0.2,4.9\n"
+    want = parse_first_stage(text)
+    for other in (" X , u,Y \n0,0,1.0\n1,0.1,3.1\n2,0.2,4.9\n",
+                  "Y,u,X\n1.0,0,0\n3.1,0.1,1\n4.9,0.2,2\n"):
+        got = parse_first_stage(other)
+        for name in ("x_fixed", "y", "delta_var"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (other, name)
+    assert np.array_equal(parse_second_stage(" Y0 \n1.0\n\n2.0\n").y0, [1.0, 2.0])
 
 
 def test_parse_sample_keeps_order():
@@ -128,10 +150,22 @@ def test_parse_scenarios_defaults_and_overrides():
 
 
 def test_parse_scenarios_rejects_bad_files():
+    header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
     with pytest.raises(ParseError, match="missing"):
         parse_scenarios("n,k,x0\n5,2,0.8\n")
     with pytest.raises(ParseError, match="unknown"):
         parse_scenarios("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,extra\n")
+    with pytest.raises(ParseError, match="header repeats columns \\['seed'\\]"):
+        parse_scenarios(header.strip() + ",seed\n5,2,0.8,0.1,2.0,0.04,10,1,2\n")
+    # a padded header is read by its trimmed names
+    padded = parse_scenarios("n, k,x0 ,alpha,beta,sigma_eps2,n_reps, seed\n"
+                             "5,2,0.8,0.1,2.0,0.04,10,1\n")
+    assert [(c.n, c.k, c.x0_true, c.n_reps, c.seed) for c in padded] == [(5, 2, 0.8, 10, 1)]
+    # rows are named by their file line, blank lines counted
+    with pytest.raises(ParseError, match="row 5: seed must be >= 0"):
+        parse_scenarios(header + "5,2,0.8,0.1,2.0,0.04,10,1\n\n\n5,2,0.8,0.1,2.0,0.04,10,-1\n")
+    with pytest.raises(ParseError, match="row 3 has 3 fields, expected 8"):
+        parse_scenarios(header + "5,2,0.8,0.1,2.0,0.04,10,1\n5,2,0.8\n")
     with pytest.raises(ParseError, match="no scenario"):
         parse_scenarios("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n")
     with pytest.raises(ParseError, match="row 2"):
@@ -381,6 +415,22 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_cli_simulate_reads_padded_header_and_blank_lines(tmp_path, capsys):
+    scen, out = tmp_path / "s.csv", tmp_path / "o.csv"
+    header = "n, k, x0,alpha,beta,sigma_eps2,n_reps,seed\n"
+    scen.write_text(header + "5,2,0.8,0.1,2.0,0.04,10,1\n\n5,2,1.9,0.1,2.0,0.04,10,2\n")
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 3  # the header and two scenarios
+    out.unlink()
+    # a bad row after a blank line is named by its file line, with no traceback
+    scen.write_text(header + "5,2,0.8,0.1,2.0,0.04,10,1\n\n5,2,0.8,0.1,2.0,0.04,10,-1\n")
+    capsys.readouterr()
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario file: row 4: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_simulate_overflowing_draws_fail_as_replicates(tmp_path, capsys):
