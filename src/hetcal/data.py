@@ -13,11 +13,13 @@ intercept and the unknown concentration at their fitted slope from
 per row, for the simulator's replicates; it is summarised by the same
 functions, which reduce over the last axis.  ``_FAILURES`` holds why a fit
 can fail: one dataset raises the first failed reason of its verdict, a lane
-fails on any.
+fails on any.  ``_require_parameters`` is the one check of the parameters
+that the public functions of theta take.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,12 +290,29 @@ def _require_slope(beta, first):
     _raise_first((_slope_verdict(beta, first),), beta=beta)
 
 
+def _require_parameters(k: int = 1, zero_variance: bool = False, **theta):
+    """The check of a public function of the parameters: every value in
+    ``theta`` finite, ``sigma_eps2`` (where given) positive, or nonnegative
+    with ``zero_variance``, and the number of readings ``k`` at least 1;
+    raises a typed error naming the first that is not."""
+    for name, value in theta.items():
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value}")
+    s2 = theta.get("sigma_eps2", 1.0)
+    if s2 < 0.0 or (s2 == 0.0 and not zero_variance):
+        least = "nonnegative" if zero_variance else "positive"
+        raise NonPositiveVariance(f"sigma_eps2 must be {least}, got {s2}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):
     """Closed-form intercept and unknown concentration at a given slope.
 
     The intercept depends only on the slope and the data means; no iteration
     is involved.  Both estimators invert their fitted line through it.
     """
+    _require_parameters(beta=beta)
     _require_slope(beta, first)
     return _alpha_x0(beta, first, second)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import DataStack, FirstStageData, SecondStageData, Theta, _slope_verdict, validate
 from .errors import AllReplicatesFailed, CalibrationError
-from .hetero import SCORE_TOL, _hetero, variance_x0, workspace
+from .hetero import _hetero, variance_x0, workspace
 from .usual import _half_width, _usual, variance_usual
 
 # array elements of one chunk of replicates (2n + k per replicate).  The value
@@ -251,15 +251,14 @@ def _fit(data: DataStack, level: float, work: np.ndarray | None = None) -> np.nd
     is what ``fit_usual`` and ``fit_hetero`` report on it, bit for bit,
     whatever else the stack holds.  ``work`` is the workspace of one
     dataset's proposed fit."""
-    (_, _, x0_u, _, var_u), usual = _usual(data, data)
-    (_, _, x0_p, _, var_p, scaled, *_), proposed = _hetero(data, data, work)
+    (_, _, x0_u, _, var_u, *_), usual = _usual(data, data)
+    (_, _, x0_p, _, var_p, converged, *_), proposed = _hetero(data, data, work)
     x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)
     with np.errstate(all="ignore"):  # a failed lane may hold any value; it is set NaN
         half = _half_width(var, level)
         out = np.stack((x0, var, x0 - half, x0 + half), axis=-1)
     failed = np.logical_or.reduce([lanes for _, lanes in usual + proposed])
-    # np.less keeps one dataset's mask a numpy bool: ~ of a Python bool is an integer index
-    out[failed | ~np.less(scaled, SCORE_TOL)] = np.nan
+    out[failed | ~converged] = np.nan
     return out
 
 

@@ -14,7 +14,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
-                   _finite_verdict, _raise_first, _require_slope, _slope_verdict, _sum, validate)
+                   _finite_verdict, _raise_first, _require_parameters, _require_slope,
+                   _slope_verdict, _sum, validate)
 from .errors import InvalidLevel
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
@@ -36,13 +37,14 @@ def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
     return float(x0_hat - half), float(x0_hat + half)
 
 
-def _fit_result(fit, verdict, level: float, log_likelihood: float, converged: bool = True,
-                iterations: int = 0, score_norm: float = 0.0) -> FitResult:
-    """Fit result from ``(alpha, beta, x0, sigma_eps2, var_x0)`` with the
+def _fit_result(fit, verdict, level: float) -> FitResult:
+    """Fit result from an estimator's record ``(alpha, beta, x0, sigma_eps2,
+    var_x0, converged, score_norm, log_likelihood, iterations)`` with the
     interval at ``level`` and the expanded uncertainty that ``var_x0``
     implies; both estimators report through it.  A fit that failed its
     ``verdict`` raises the first failed reason's error instead."""
-    alpha, beta, x0, s2, var_x0 = map(float, fit)
+    *estimates, converged, score_norm, loglik, iterations = fit
+    alpha, beta, x0, s2, var_x0 = map(float, estimates)
     theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
     _raise_first(verdict, beta=beta, s2=s2, theta=theta, var_x0=var_x0)
     lo, hi = confidence_interval(theta.x0, var_x0, level)
@@ -52,10 +54,10 @@ def _fit_result(fit, verdict, level: float, log_likelihood: float, converged: bo
         ci_lower=lo,
         ci_upper=hi,
         expanded_uncertainty=EXPANSION_FACTOR * math.sqrt(var_x0),
-        log_likelihood=log_likelihood,
-        converged=converged,
-        iterations=iterations,
-        score_residual_norm=score_norm,
+        log_likelihood=float(loglik),
+        converged=bool(converged),
+        iterations=int(iterations),
+        score_residual_norm=float(score_norm),
     )
 
 
@@ -64,10 +66,10 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     classical model, evaluated at ``theta``.
 
     Exposed separately so the simulator can evaluate it at the true
-    parameter values as well as at the estimates.
+    parameter values as well as at the estimates.  It is zero at
+    ``sigma_eps2 = 0``, the noiseless limit.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_parameters(k, zero_variance=True, **vars(theta))
     _require_slope(theta.beta, first)
     return float(_variance_usual(theta.beta, theta.x0, theta.sigma_eps2, first, k))
 
@@ -81,18 +83,22 @@ def _variance_usual(beta, x0, sigma_eps2, first, k):
 
 
 def _usual(first, second):
-    """The classical fit over the last axis of one dataset or a stack:
-    ``(alpha, beta, x0, sigma_eps2, var_x0)`` and its verdict, which fails
-    where the slope is numerically zero or an output is not finite."""
+    """The classical fit over the last axis of one dataset or a stack, as the
+    record ``_fit_result`` reads (converged, with no score left, after no
+    iterations), and its verdict, which fails where the slope is numerically
+    zero or an output is not finite."""
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
-        n = first.n
+        n, k = first.n, second.k
         beta = (_sum(first.xc * first.yc) / n) / (_sum(first.xc * first.xc) / n)
         alpha, x0 = _alpha_x0(beta, first, second)
         r = first.y - _col(alpha) - _col(beta) * first.x_fixed
-        sigma_eps2 = (_sum(r * r) + second.ss0) / (n + second.k)
-        var_x0 = _variance_usual(beta, x0, sigma_eps2, first, second.k)
+        sigma_eps2 = (_sum(r * r) + second.ss0) / (n + k)
+        var_x0 = _variance_usual(beta, x0, sigma_eps2, first, k)
+        # the log-likelihood, infinite at the degenerate noiseless fit
+        loglik = np.where(sigma_eps2 > 0.0, -0.5 * (n + k) * (np.log(sigma_eps2) + 1.0),
+                          math.inf)[()]
     fit = alpha, beta, x0, sigma_eps2, var_x0
-    return fit, (_slope_verdict(beta, first), _finite_verdict(*fit))
+    return (*fit, np.True_, 0.0, loglik, 0), (_slope_verdict(beta, first), _finite_verdict(*fit))
 
 
 def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
@@ -104,8 +110,4 @@ def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.9
     estimate (divisor n + k).
     """
     validate(first, second)
-    fit, verdict = _usual(first, second)
-    s2 = float(fit[3])
-    # infinite at the degenerate noiseless fit
-    loglik = -0.5 * (first.n + second.k) * (math.log(s2) + 1.0) if s2 > 0 else math.inf
-    return _fit_result(fit, verdict, level, loglik)
+    return _fit_result(*_usual(first, second), level)

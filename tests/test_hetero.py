@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetcal import (
@@ -21,6 +21,7 @@ from hetcal import (
     score_residuals,
 )
 from hetcal import hetero
+from hetcal.data import DataStack
 from hetcal.hetero import SCORE_TOL, _derivatives, _newton, _point, workspace
 
 from conftest import fit_or_reject, make_model_dataset, model_datasets, rel_diff
@@ -105,6 +106,24 @@ def test_loglik_rejects_nonpositive_variance():
         log_likelihood(Theta(0, 1, 0, -0.1), first, second)
 
 
+def test_functions_of_theta_reject_a_nan_variance(analytes):
+    # NaN fails no comparison with zero, so a positivity test alone lets it
+    # through to a log-likelihood of -inf and a NaN information matrix
+    first, second = analytes["chromium"]
+    theta = Theta(alpha=124.3, beta=123027.3, x0=0.083, sigma_eps2=math.nan)
+    with pytest.raises(NonFiniteValue, match="sigma_eps2"):
+        log_likelihood(theta, first, second)
+    with pytest.raises(NonFiniteValue, match="sigma_eps2"):
+        hetero.fisher_information(theta, first, second.k)
+
+
+def test_loglik_rejects_an_infinite_slope():
+    # an infinite slope has no likelihood; evaluating one warns
+    first, second, _ = make_model_dataset(np.random.default_rng(0))
+    with pytest.raises(NonFiniteValue, match="beta"):
+        log_likelihood(Theta(0.0, math.inf, 0.0, 0.1), first, second)
+
+
 # ---------------------------------------------------- profile_alpha_x0
 
 
@@ -140,7 +159,23 @@ def test_profile_rejects_zero_slope():
         profile_alpha_x0(0.0, first, SecondStageData(y0=[1.0, 2.0]))
 
 
+def test_profile_rejects_a_nan_slope():
+    # NaN is not numerically zero, so the slope check alone lets it through
+    with pytest.raises(NonFiniteValue, match="beta"):
+        profile_alpha_x0(math.nan, linear_grid_design(), SecondStageData(y0=[1.0, 2.0]))
+
+
 # ----------------------------------------------------- score_residuals
+
+
+@pytest.mark.parametrize("sigma_eps2, error", [(-0.1, NonPositiveVariance),
+                                               (math.inf, NonFiniteValue)])
+def test_scores_reject_a_variance_that_is_not_positive_and_finite(analytes, sigma_eps2, error):
+    # unchecked, a negative variance gives finite scores and an infinite one
+    # gives (0, 0), which would certify it
+    first, second = analytes["cadmium"]
+    with pytest.raises(error, match="sigma_eps2"):
+        score_residuals(Theta(0.45, 10.5, 0.08, sigma_eps2), first, second)
 
 
 def test_scores_vanish_at_converged_fit(analytes):
@@ -416,7 +451,7 @@ def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
 def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
-    beta, s2, scaled, _, loglik, _, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5)
+    beta, s2, scaled, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5)
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
@@ -471,6 +506,57 @@ def test_newton_in_a_caller_workspace_allocates_no_vector():
         tracemalloc.stop()
     assert scaled < SCORE_TOL
     assert peak < first.n * 8  # less than one n-vector of float64
+
+
+# runs that made no new smallest scaled score after their 5th and 82nd Newton
+# steps: (x, delta_var, y, y0, that step, the fit as float.hex of alpha, beta,
+# x0, sigma_eps2, var_x0, log-likelihood and score norm).  Without the stall
+# stop each runs all MAX_ITERATIONS steps, the first alternating between two
+# slopes with steps just above the 1e-14 stop, for that same fit
+STALLED = [
+    (np.linspace(0.0, 2.0, 12), np.zeros(12),
+     [0.7562708165046255, 0.8640716413049765, 1.6382947445023672, 3.0820063131005293,
+      3.117854817944447, 2.494761061961759, 1.5402427394257825, 2.3006251406291485,
+      2.9021959512959525, 1.70454152674194, 0.9431932717056626, 1.018925163274364],
+     [0.48585956144151177, 2.2415618364110586, 1.5352800232320454, -0.5792359454947147], 5,
+     ["0x1.de427b17bd369p+0", "-0x1.2ec67acf91ccep-8", "0x1.9a1a74287136ep+7",
+      "0x1.a81b8fd8fcea0p-1", "0x1.45fec82e9af66p+28", "-0x1.9f92419aa8b4cp+2",
+      "0x1.0000000000000p-51"]),
+    (np.linspace(0.0, 2.0, 4),
+     [0.040049764853121304, 0.022492899231076807, 0.044941608395386606, 0.0857771826806104],
+     [2.7572995639437288, -0.17344980725977233, 1.8220085613373187, 2.418429735834192],
+     [2.130381287187088, 2.1033647894141416], 82,
+     ["-0x1.fdae3a023cfe5p+1", "0x1.6c0765acbb2e2p+2", "0x1.127d352dfb90cp+0",
+      "0x1.7facf7f3c486ap-13", "0x1.701f6a00bba4ap-7", "-0x1.021e45840005ap+4",
+      "0x1.1800000000000p-40"]),
+]
+
+
+@pytest.mark.parametrize("x, delta_var, y, y0, best_at, record", STALLED)
+def test_a_run_that_stopped_improving_ends_with_the_same_fit(x, delta_var, y, y0, best_at,
+                                                              record):
+    res = fit_hetero(FirstStageData(x, y, delta_var), SecondStageData(y0))
+    t = res.theta_hat
+    assert [v.hex() for v in (t.alpha, t.beta, t.x0, t.sigma_eps2, res.var_x0,
+                              res.log_likelihood, res.score_residual_norm)] == record
+    assert res.converged
+    assert res.iterations == best_at + hetero.STALL_STEPS
+
+
+def test_lanes_stop_a_stalled_run_where_newton_does():
+    # the 82-step run stops while a lane of the stack runs on
+    x, dv, y, y0, best_at, _ = STALLED[1]
+    rng = np.random.default_rng(2)
+    data = DataStack(x, np.array(dv), np.vstack([y, y + 0.2 * rng.standard_normal((3, 4))]),
+                     np.vstack([y0, y0 + 0.2 * rng.standard_normal((3, 2))]))
+    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
+    lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
+    for i in range(4):
+        one = data.take(i)
+        alone = _newton(one, one, beta0[i], s2_0[i], beta_scale[i])
+        assert [np.float64(v).tobytes() for v in alone] == [np.float64(v[i]).tobytes()
+                                                            for v in lanes]
+    assert lanes[5][0] == best_at + hetero.STALL_STEPS < lanes[5].max()
 
 
 def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):
@@ -558,13 +644,16 @@ def test_exact_line_whose_slope_overflows_raises_non_finite_value():
 
 @settings(max_examples=100, deadline=None)
 @given(data=model_datasets(), order_seed=st.integers(0, 2**32 - 1))
+# a slope of -7.6e-5 puts x0 at -8367, where the permutation moves it by 2.8e-9
+@example(data=(FirstStageData(np.linspace(0.0, 2.0, 4),
+                              [1.54012779, 0.06450824, 1.94282307, 0.91385491], np.zeros(4)),
+               SecondStageData([2.73602544, 0.75944049])), order_seed=0)
 def test_fits_are_invariant_to_the_order_of_standards_and_readings(data, order_seed):
     # Only the summation order changes, so the fits agree to rounding, not
     # bitwise.  Where the preparation errors dominate the response variance
     # the profile is flat in the slope and the maximizer moves by up to 2e-11
     # relative (worst of 20,000 datasets of this generator at sigma_eps2 =
-    # 1e-3), hence 1e-10.  x0 is a location, so it is compared on the scale
-    # of the standards' span.
+    # 1e-3), hence 1e-10.  x0 is compared as ``_assert_maps_to`` compares it.
     first, second = data
     rng = np.random.default_rng(order_seed)
     p, q = rng.permutation(first.n), rng.permutation(second.k)
@@ -578,7 +667,7 @@ def test_fits_are_invariant_to_the_order_of_standards_and_readings(data, order_s
         assert rel_diff(t.beta, u.beta) < 1e-10
         assert rel_diff(t.sigma_eps2, u.sigma_eps2) < 1e-10
         assert rel_diff(res.var_x0, moved.var_x0) < 1e-10
-        assert abs(t.x0 - u.x0) < 1e-10 * np.ptp(first.x_fixed)
+        assert abs(t.x0 - u.x0) < 1e-10 * (np.ptp(first.x_fixed) + abs(t.x0))
 
 
 def _assert_maps_to(moved, beta, sigma_eps2, x0, var_x0, span):

@@ -404,7 +404,7 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
     _assert_same_bits(np.array([simulate._fit(data.take(i), 0.95, work)
                                 for i in range(len(y))]), own)
     assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
-    # the two Newton drivers return the same seven values, failed lanes too
+    # the two Newton drivers return the same six values, failed lanes too
     beta0, beta_scale, s2_0, _ = hetero._start(data, data)
     driven = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
     for i in range(len(y)):
@@ -429,7 +429,7 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
 def test_lanes_that_halve_and_lanes_that_do_not_share_a_line_search():
     # distant starts make some lanes halve their first trial while the others
     # keep it and evaluate it again in the same round; each lane still
-    # returns _newton's seven values on its own dataset from its own start
+    # returns _newton's six values on its own dataset from its own start
     x, dv, m = default_grid(5), default_delta_vars(5), 12
     rng = np.random.default_rng(3)
     y = 0.1 + 2.0 * (x - rng.standard_normal((m, 5)) * np.sqrt(dv)) + 0.2 * rng.standard_normal(

@@ -7,6 +7,7 @@ from hetcal import (
     FirstStageData,
     InvalidLevel,
     NonFiniteValue,
+    NonPositiveVariance,
     SecondStageData,
     SlopeNearZero,
     Theta,
@@ -72,6 +73,13 @@ def test_variance_at_design_center_drops_quadratic_term():
 def test_variance_zero_when_no_response_error():
     theta = Theta(alpha=0.0, beta=2.0, x0=0.3, sigma_eps2=0.0)
     assert variance_usual(theta, grid_design(), k=2) == 0.0
+
+
+def test_variance_rejects_negative_response_variance():
+    # the formula alone returns a negative variance
+    theta = Theta(alpha=0.0, beta=2.0, x0=0.3, sigma_eps2=-0.1)
+    with pytest.raises(NonPositiveVariance, match="nonnegative"):
+        variance_usual(theta, grid_design(), k=2)
 
 
 def test_variance_rejects_zero_slope():
