@@ -14,7 +14,8 @@ per row, for the simulator's replicates; it is summarised by the same
 functions, which reduce over the last axis.  ``_FAILURES`` holds why a fit
 can fail: one dataset raises the first failed reason of its verdict, a lane
 fails on any.  ``_require_parameters`` is the one check of the parameters
-that the public functions of theta take.
+that the public functions of theta take, and ``_require_finite`` the one
+check of what they give.
 """
 
 from __future__ import annotations
@@ -264,6 +265,7 @@ _FAILURES = {
                                       "design"),
     "finite": (NonFiniteValue, "the fit is not representable in floating point: {theta}, "
                                "var_x0 = {var_x0}"),
+    "value": (NonFiniteValue, "{function} is not representable in floating point at {at}"),
 }
 
 
@@ -290,11 +292,21 @@ def _require_slope(beta, first):
     _raise_first((_slope_verdict(beta, first),), beta=beta)
 
 
+def _require_finite(function: str, value, **at):
+    """``value``, what the public function ``function`` gives at the
+    parameters ``at``; raises ``NonFiniteValue`` where it is not all finite."""
+    _raise_first((("value", ~np.isfinite(value).all()),), function=function,
+                 at=", ".join(f"{name} = {v}" for name, v in at.items()))
+    return value
+
+
 def _require_parameters(k: int = 1, zero_variance: bool = False, **theta):
     """The check of a public function of the parameters: every value in
     ``theta`` finite, ``sigma_eps2`` (where given) positive, or nonnegative
     with ``zero_variance``, and the number of readings ``k`` at least 1;
-    raises a typed error naming the first that is not."""
+    raises a typed error naming the first that is not.  Returns the values
+    as numpy floats, whose overflow and division by zero give inf and NaN
+    for ``_require_finite`` to judge, never an error."""
     for name, value in theta.items():
         if not math.isfinite(value):
             raise NonFiniteValue(f"{name} must be finite, got {value}")
@@ -304,6 +316,7 @@ def _require_parameters(k: int = 1, zero_variance: bool = False, **theta):
         raise NonPositiveVariance(f"sigma_eps2 must be {least}, got {s2}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    return np.array(list(theta.values()), dtype=float)
 
 
 def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData):

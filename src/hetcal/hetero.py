@@ -18,8 +18,8 @@ evaluate those same formulas.  Each point of the iteration is evaluated once:
 ``_point`` gives the objective and leaves 1 / gamma and d / gamma, which
 ``_derivatives`` at an accepted point reads instead of recomputing them.
 Both write every n-length intermediate into a ``workspace`` with ufunc
-``out=``, so an iteration allocates no vectors; the simulator keeps one for
-a whole scenario.  The kernels reduce over the last axis, so they take one
+``out=``, so an iteration allocates no vectors; the caller makes it, once per
+fit or scenario.  The kernels reduce over the last axis, so they take one
 dataset or a ``DataStack`` of datasets on one design.  ``_hetero`` fits
 either, picking the driver from the shape of its input: ``_newton`` on one
 dataset (``_exact`` where its readings are identical) or ``_newton_lanes``
@@ -39,8 +39,8 @@ import math
 import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
-                   _finite_verdict, _raise_first, _require_parameters, _require_slope,
-                   _slope_verdict, _sum, validate)
+                   _finite_verdict, _raise_first, _require_finite, _require_parameters,
+                   _require_slope, _slope_verdict, _sum, validate)
 from .usual import _fit_result
 
 MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
@@ -56,8 +56,10 @@ SCORE_TOL = 1e-6
 
 def gamma(beta: float, sigma_eps2: float, first: FirstStageData) -> np.ndarray:
     """Marginal response variance of each standard."""
-    _require_parameters(beta=beta, sigma_eps2=sigma_eps2)
-    return _gamma(beta, sigma_eps2, first.delta_var)
+    b, s2 = _require_parameters(beta=beta, sigma_eps2=sigma_eps2)
+    with np.errstate(all="ignore"):
+        g = _gamma(b, s2, first.delta_var)
+    return _require_finite("gamma", g, beta=beta, sigma_eps2=sigma_eps2)
 
 
 def _gamma(beta, s2, delta_var, out=None):
@@ -72,11 +74,13 @@ def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData)
 
     The readings' sum of squares is ss0 + k * (y0bar - alpha - beta * x0)**2,
     which keeps the digits of their spread when they sit far from zero."""
-    _require_parameters(**vars(theta))
-    r1 = first.y - theta.alpha - theta.beta * first.x_fixed
-    m0 = second.y0bar - theta.alpha - theta.beta * theta.x0
-    return float(_point(first, theta.beta, theta.sigma_eps2, second.ss0 + second.k * m0 * m0,
-                        second.k, workspace(first.n), r1))
+    alpha, beta, x0, s2 = _require_parameters(**vars(theta))
+    with np.errstate(all="ignore"):
+        r1 = first.y - alpha - beta * first.x_fixed
+        m0 = second.y0bar - alpha - beta * x0
+        value = _point(first, beta, s2, second.ss0 + second.k * m0 * m0, second.k,
+                       workspace(first.n), r1)
+    return float(_require_finite("log_likelihood", value, **vars(theta)))
 
 
 def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData):
@@ -88,32 +92,32 @@ def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData
     condition of the profiled objective; with the intercept at its profile
     value the centering term is the only difference from the raw form.
     """
-    _require_parameters(**vars(theta))
-    beta, s2 = np.float64(theta.beta), np.float64(theta.sigma_eps2)
-    d = first.y - theta.alpha - beta * first.x_fixed
+    alpha, beta, _, s2 = _require_parameters(**vars(theta))
+    work = workspace(first.n)
     with np.errstate(all="ignore"):
-        r_beta, r_sigma = _derivatives(first, second, beta, s2, d=d)[:2]
-    return float(r_beta), float(r_sigma)
+        _point(first, beta, s2, second.ss0, second.k, work, first.y - alpha - beta * first.x_fixed)
+        scores = _derivatives(first, second, beta, s2, work)[:2]
+    return tuple(map(float, _require_finite("score_residuals", scores, **vars(theta))))
 
 
 def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarray:
     """Expected information matrix, ordered (alpha, beta, x0, sigma_eps2)."""
-    _require_parameters(k, **vars(theta))
-    gam = _gamma(theta.beta, theta.sigma_eps2, first.delta_var)
-    x, dv, g2 = first.x_fixed, first.delta_var, gam**2
-    terms = (1.0 / gam, x / gam, x * x / gam, 1.0 / g2, dv / g2, dv * dv / g2)
-    s1, sx, sxx, t1, td, tdd = (float(np.sum(t)) for t in terms)
-    be, x0, s2 = theta.beta, theta.x0, theta.sigma_eps2
+    _, be, x0, s2 = _require_parameters(k, **vars(theta))
     info = np.zeros((4, 4))
-    info[0, 0] = s1 + k / s2
-    info[0, 1] = info[1, 0] = sx + k * x0 / s2
-    info[0, 2] = info[2, 0] = k * be / s2
-    info[1, 1] = sxx + 2.0 * be * be * tdd + k * x0 * x0 / s2
-    info[1, 2] = info[2, 1] = k * be * x0 / s2
-    info[1, 3] = info[3, 1] = be * td
-    info[2, 2] = k * be * be / s2
-    info[3, 3] = 0.5 * t1 + 0.5 * k / s2**2
-    return info
+    with np.errstate(all="ignore"):
+        gam = _gamma(be, s2, first.delta_var)
+        x, dv, g2 = first.x_fixed, first.delta_var, gam * gam
+        terms = (1.0 / gam, x / gam, x * x / gam, 1.0 / g2, dv / g2, dv * dv / g2)
+        s1, sx, sxx, t1, td, tdd = (_sum(t) for t in terms)
+        info[0, 0] = s1 + k / s2
+        info[0, 1] = info[1, 0] = sx + k * x0 / s2
+        info[0, 2] = info[2, 0] = k * be / s2
+        info[1, 1] = sxx + 2.0 * be * be * tdd + k * x0 * x0 / s2
+        info[1, 2] = info[2, 1] = k * be * x0 / s2
+        info[1, 3] = info[3, 1] = be * td
+        info[2, 2] = k * be * be / s2
+        info[3, 3] = 0.5 * t1 + 0.5 * k / (s2 * s2)
+    return _require_finite("fisher_information", info, **vars(theta))
 
 
 def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
@@ -128,11 +132,11 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     Schur complement).  With weights w = 1 / gamma, ``b`` is 1 / Var(beta);
     every term in it and in the result is non-negative, so nothing cancels.
     """
-    _require_parameters(k, **vars(theta))
+    _, beta, x0, s2 = _require_parameters(k, **vars(theta))
     _require_slope(theta.beta, first)
-    var, verdict = _variance_x0(theta.beta, theta.x0, theta.sigma_eps2, first, k)
+    var, verdict = _variance_x0(beta, x0, s2, first, k)
     _raise_first(verdict, beta=theta.beta)
-    return float(var)
+    return float(_require_finite("variance_x0", var, **vars(theta)))
 
 
 def _variance_x0(be, x0, s2, first, k):
@@ -192,7 +196,7 @@ def _point(first, beta, s2, ss0, k, work, d=None):
     return np.where(valid, value, -math.inf)[()]  # [()]: one dataset's value as a scalar
 
 
-def _derivatives(first, second, beta, s2, work=None, d=None):
+def _derivatives(first, second, beta, s2, work):
     """Scores, scaled score and Hessian at (beta, s2).
 
     Returns ``(r_beta, r_sigma, scaled, h_bb, h_bs, h_ss)``: the scores
@@ -200,12 +204,8 @@ def _derivatives(first, second, beta, s2, work=None, d=None):
     over the size of its own terms (sum |X_i d_i / gamma_i| + 1 for the
     slope; sum |w_i| + ss0 / s2**2 + k / s2 for the variance, which is in
     units of 1 / s2) and the second derivatives of ``_point`` in (slope,
-    variance).  ``work`` holds what ``_point`` left at (beta, s2); without
-    it the point is evaluated here, at the residuals ``d`` if given.
+    variance), from what ``_point`` left in ``work`` at (beta, s2).
     """
-    if work is None:
-        work = workspace(*np.shape(first.y))
-        _point(first, beta, s2, second.ss0, second.k, work, d)
     ig, e, a, b, c = work
     xc, dv, ss0, k = first.xc, first.delta_var, second.ss0, second.k
     # w = (gamma - d^2) / gamma^2 and u = (gamma - 2 d^2) / gamma^3
@@ -275,7 +275,7 @@ def _trial(beta, s2, beta_scale, t, du, dv):
     return t * np.maximum(abs(du), abs(dv)), beta + beta_scale * t * du, s2 * np.exp(t * dv)
 
 
-def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None):
+def _newton(first, second, beta: float, s2: float, beta_scale: float, work):
     """Safeguarded Newton ascent on the profiled log-likelihood, stepping in
     (beta / beta_scale, log s2) by ``_direction``.
 
@@ -293,12 +293,10 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None)
     run with floating-point warnings off: a non-finite value is judged by
     the fit's verdict, not reported.
 
-    Each point is evaluated once, into ``work`` (by default a fresh
-    ``workspace(first.n)``): the last point evaluated is the start or the
-    accepted trial, so ``_derivatives`` reads its intermediates there.
+    Each point is evaluated once, into the caller's ``work``: the last point
+    evaluated is the start or the accepted trial, so ``_derivatives`` reads
+    its intermediates there.
     """
-    if work is None:
-        work = workspace(first.n)
     beta, s2, inf = np.float64(beta), np.float64(s2), np.float64(math.inf)  # numpy semantics
     ss0, k = second.ss0, second.k
     with np.errstate(all="ignore"):
@@ -334,21 +332,19 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work=None)
     return (*best, iterations)
 
 
-def _newton_lanes(first, second, beta, s2, beta_scale, work=None):
+def _newton_lanes(first, second, beta, s2, beta_scale, work):
     """``_newton`` on every dataset of a ``DataStack`` at once, one lane per
     dataset, from arrays of starts; ``first`` and ``second`` are the stack.
 
     Each lane takes the steps ``_newton`` takes on its dataset alone: the
     running lanes share one iteration count, and a lane that stops is frozen
     and dropped from the stack.  Every line search round evaluates all the
-    running lanes, into the leading lanes of ``work`` (by default a fresh
-    one); a lane that has stopped halving evaluates its same trial point
-    again, to the same bits, so ``_derivatives`` finds every lane's accepted
-    point there.  Returns ``_newton``'s six values as arrays.
+    running lanes, into the leading lanes of the caller's ``work``; a lane
+    that has stopped halving evaluates its same trial point again, to the
+    same bits, so ``_derivatives`` finds every lane's accepted point there.
+    Returns ``_newton``'s six values as arrays.
     """
     data, m = first, beta.size
-    if work is None:
-        work = workspace(*data.y.shape)
     with np.errstate(all="ignore"):
         value = _point(data, beta, s2, data.ss0, data.k, work)
         best = [beta.copy(), s2.copy(), np.full(m, math.inf), np.full(m, math.inf),
@@ -426,13 +422,13 @@ def _start(first, second):
         return beta0, beta_scale, s2_0, floor
 
 
-def _hetero(first, second, work=None):
+def _hetero(first, second, work):
     """The proposed fit over the last axis of one dataset, or of a
     ``DataStack`` given as both stages whose readings all differ: the record
     that ``_fit_result`` reads, converged where its scaled score is below
     ``SCORE_TOL``, and its verdict, in the order it is judged.  A stack runs
-    ``_newton_lanes``, one dataset ``_newton`` in the workspace ``work`` (by
-    default a fresh one), or ``_exact`` where its readings are identical."""
+    ``_newton_lanes`` in the leading lanes of ``work``, one dataset ``_newton``
+    in ``work``, or ``_exact`` where its readings are identical."""
     if first.y.ndim == 1 and second.ss0 <= 0.0:
         return _exact(first, second)
     newton = _newton_lanes if first.y.ndim > 1 else _newton
@@ -463,4 +459,4 @@ def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.
     at most ``MAX_ITERATIONS``.
     """
     validate(first, second)
-    return _fit_result(*_hetero(first, second), level)
+    return _fit_result(*_hetero(first, second, workspace(first.n)), level)

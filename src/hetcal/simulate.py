@@ -22,8 +22,8 @@ from .usual import _half_width, _usual, variance_usual
 
 # array elements of one chunk of replicates (2n + k per replicate).  The value
 # was set when the lanes were introduced and has not been measured again since
-# the Newton kernels stopped allocating temporaries; replicates too long for
-# two in a chunk (every n = 5000 design) are fitted one by one
+# the Newton kernels stopped allocating temporaries; a design too long for
+# ``LANE_MIN`` replicates in a chunk (every n = 5000) is fitted one by one
 LANE_ELEMENTS = 2**14
 # the fewest replicates fitted as lanes: shorter chunks run one by one, where
 # chunks of 2 were measured at 0.74-0.88x and of 3 at 0.86-1.07x the speed
@@ -200,16 +200,16 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
 
     Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)`` (``_fit_chunk``),
     and ``_fit`` reports both fits of a chunk's lanes at once and of every
-    other replicate alone.  Each replicate gets the result ``fit_usual`` and
-    ``fit_hetero`` give its dataset, bit for bit, so the table does not
-    depend on the chunking.
+    other replicate alone, in one workspace per scenario.  Each replicate
+    gets the result ``fit_usual`` and ``fit_hetero`` give its dataset, bit
+    for bit, so the table does not depend on the chunking.
     """
     # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
     reported = np.full((cfg.n_reps, 2, 4), np.nan)
-    # allocated once: a workspace per fit of a long design would be
-    # allocated and returned to the system by every fit
-    work = workspace(cfg.n)
     chunk = max(1, LANE_ELEMENTS // (2 * cfg.n + cfg.k))
+    # one workspace for the largest chunk: a workspace per fit of a long
+    # design would be allocated and returned to the system by every fit
+    work = workspace(min(chunk, cfg.n_reps), cfg.n)
     for start in range(0, cfg.n_reps, chunk):
         _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), reported, work)
     x0, var, lo, hi = np.moveaxis(reported, 2, 0)
@@ -227,8 +227,8 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
 def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work: np.ndarray):
     """Draw the replicates ``reps`` and fit them into ``reported``: as lanes,
     in a chunk of at least ``LANE_MIN``, the finite draws whose readings
-    differ (``ss0 > 0``); alone, in the workspace ``work``, every other
-    finite draw.  A non-finite draw stays NaN."""
+    differ (``ss0 > 0``), in the leading lanes of ``work``; alone, in its
+    lane 0, every other finite draw.  A non-finite draw stays NaN."""
     z = np.empty((reps.size, 2 * cfg.n + cfg.k))
     for row, rep in zip(z, reps):
         replicate_rng(cfg.seed, rep).standard_normal(out=row)
@@ -238,19 +238,19 @@ def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1)
     lanes = finite & (data.ss0 > 0.0) & (reps.size >= LANE_MIN)
     if lanes.any():
-        reported[reps[lanes]] = _fit(data.take(lanes), cfg.ci_level)
+        reported[reps[lanes]] = _fit(data.take(lanes), cfg.ci_level, work[:, :lanes.sum()])
     for i in np.flatnonzero(finite & ~lanes):
-        reported[reps[i]] = _fit(data.take(i), cfg.ci_level, work)
+        reported[reps[i]] = _fit(data.take(i), cfg.ci_level, work[:, 0])
 
 
-def _fit(data: DataStack, level: float, work: np.ndarray | None = None) -> np.ndarray:
+def _fit(data: DataStack, level: float, work: np.ndarray) -> np.ndarray:
     """What both fits at ``level`` report over the last axis of a stack whose
     readings differ, or of one dataset (``data.take(i)``), as (...,
     usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN where either fit's
     verdict fails or the proposed fit does not converge.  A dataset's block
     is what ``fit_usual`` and ``fit_hetero`` report on it, bit for bit,
-    whatever else the stack holds.  ``work`` is the workspace of one
-    dataset's proposed fit."""
+    whatever else the stack holds.  ``work`` is the proposed fit's
+    workspace, with a lane per dataset of a stack."""
     (_, _, x0_u, _, var_u, *_), usual = _usual(data, data)
     (_, _, x0_p, _, var_p, converged, *_), proposed = _hetero(data, data, work)
     x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)

@@ -14,8 +14,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
-                   _finite_verdict, _raise_first, _require_parameters, _require_slope,
-                   _slope_verdict, _sum, validate)
+                   _finite_verdict, _raise_first, _require_finite, _require_parameters,
+                   _require_slope, _slope_verdict, _sum, validate)
 from .errors import InvalidLevel
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
@@ -69,9 +69,11 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
     parameter values as well as at the estimates.  It is zero at
     ``sigma_eps2 = 0``, the noiseless limit.
     """
-    _require_parameters(k, zero_variance=True, **vars(theta))
+    _, beta, x0, s2 = _require_parameters(k, zero_variance=True, **vars(theta))
     _require_slope(theta.beta, first)
-    return float(_variance_usual(theta.beta, theta.x0, theta.sigma_eps2, first, k))
+    with np.errstate(all="ignore"):
+        var = _variance_usual(beta, x0, s2, first, k)
+    return float(_require_finite("variance_usual", var, **vars(theta)))
 
 
 def _variance_usual(beta, x0, sigma_eps2, first, k):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hetcal import (
+    CalibrationError,
     FirstStageData,
     InvalidLevel,
     NonFiniteValue,
@@ -13,12 +16,15 @@ from hetcal import (
     SecondStageData,
     SlopeNearZero,
     Theta,
+    fisher_information,
     fit_hetero,
     fit_usual,
     gamma,
     log_likelihood,
     profile_alpha_x0,
     score_residuals,
+    variance_usual,
+    variance_x0,
 )
 from hetcal import hetero
 from hetcal.data import DataStack
@@ -124,6 +130,34 @@ def test_loglik_rejects_an_infinite_slope():
         log_likelihood(Theta(0.0, math.inf, 0.0, 0.1), first, second)
 
 
+def test_functions_of_theta_give_finite_values_or_a_typed_error(analytes):
+    # on finite parameters from below the smallest normal float to near the
+    # largest, each public function of theta returns finite values or raises
+    # a CalibrationError: no NaN or inf, no warning, no untyped error
+    first, second = analytes["cadmium"]
+    functions = {
+        "gamma": lambda t: gamma(t.beta, t.sigma_eps2, first),
+        "log_likelihood": lambda t: log_likelihood(t, first, second),
+        "score_residuals": lambda t: score_residuals(t, first, second),
+        "fisher_information": lambda t: fisher_information(t, first, 2),
+        "variance_x0": lambda t: variance_x0(t, first, 2),
+        "variance_usual": lambda t: variance_usual(t, first, 2),
+        "profile_alpha_x0": lambda t: profile_alpha_x0(t.beta, first, second),
+    }
+    betas = (0.0, 1.0, -1.0, 1e-320, 1e-160, 1e160, 1e300, -1e300)
+    variances = (1e-320, 1e-160, 1e-30, 1.0, 1e30, 1e160, 1e300)
+    for alpha, x0, beta, s2 in itertools.product((0.0, 1e300), (0.0, 1e300), betas, variances):
+        theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
+        for name, function in functions.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    value = function(theta)
+                except CalibrationError:
+                    continue
+            assert np.isfinite(value).all(), (name, theta, value)
+
+
 # ---------------------------------------------------- profile_alpha_x0
 
 
@@ -217,6 +251,13 @@ def test_scores_nonzero_away_from_optimum(analytes):
     assert abs(rb) > 1e-3 * scale
 
 
+def _derivatives_at(first, second, beta, s2):
+    """``_derivatives`` at (beta, s2), after ``_point`` there."""
+    work = workspace(first.n)
+    _point(first, beta, s2, second.ss0, second.k, work)
+    return _derivatives(first, second, beta, s2, work)
+
+
 def test_hessian_matches_central_differences_of_scores(analytes):
     rng = np.random.default_rng(28)
     datasets = list(analytes.values())
@@ -224,13 +265,13 @@ def test_hessian_matches_central_differences_of_scores(analytes):
     for first, second in datasets:
         beta0, s20 = least_squares_slope(first), second.ss0 / second.k
         for beta, s2 in ((beta0, s20), (1.1 * beta0, 3.0 * s20)):
-            h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2)[3:]
+            h_bb, h_bs, h_ss = _derivatives_at(first, second, beta, s2)[3:]
             hb, hs = 1e-6 * abs(beta), 1e-6 * s2
             # scores are -(dl/dbeta, 2 dl/ds2)
-            up_b = _derivatives(first, second, beta + hb, s2)
-            down_b = _derivatives(first, second, beta - hb, s2)
-            up_s = _derivatives(first, second, beta, s2 + hs)
-            down_s = _derivatives(first, second, beta, s2 - hs)
+            up_b = _derivatives_at(first, second, beta + hb, s2)
+            down_b = _derivatives_at(first, second, beta - hb, s2)
+            up_s = _derivatives_at(first, second, beta, s2 + hs)
+            down_s = _derivatives_at(first, second, beta, s2 - hs)
             assert h_bb == pytest.approx(-(up_b[0] - down_b[0]) / (2 * hb), rel=1e-6)
             assert h_bs == pytest.approx(-(up_s[0] - down_s[0]) / (2 * hs), rel=1e-6)
             assert h_bs == pytest.approx(-(up_b[1] - down_b[1]) / (4 * hb), rel=1e-6)
@@ -242,7 +283,7 @@ def test_log_variance_hessian_is_indefinite_at_lead_start(analytes):
     # An indefinite Hessian there is what the Levenberg shift handles.
     first, second = analytes["lead"]
     beta, s2 = least_squares_slope(first), second.ss0 / second.k
-    _, r_sigma, _, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2)
+    _, r_sigma, _, h_bb, h_bs, h_ss = _derivatives_at(first, second, beta, s2)
     h_bv = s2 * h_bs
     h_vv = s2 * s2 * h_ss - 0.5 * s2 * r_sigma
     assert h_bb * h_vv - h_bv * h_bv < 0.0
@@ -451,7 +492,8 @@ def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
 def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
-    beta, s2, scaled, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5)
+    beta, s2, scaled, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5,
+                                             workspace(first.n))
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
@@ -480,7 +522,7 @@ def test_newton_evaluates_each_point_once(analytes, monkeypatch, name, start):
         iterations = fit_hetero(first, second).iterations
         assert iterations == 12
     else:
-        iterations = _newton(first, second, *start)[5]
+        iterations = _newton(first, second, *start, workspace(first.n))[5]
     points, steps = events.count("point"), events.count("step")
     accepted = events.count("derivatives") - 1
     halvings = steps + 1 - iterations  # each iteration's last trial is not halved
@@ -550,10 +592,10 @@ def test_lanes_stop_a_stalled_run_where_newton_does():
     data = DataStack(x, np.array(dv), np.vstack([y, y + 0.2 * rng.standard_normal((3, 4))]),
                      np.vstack([y0, y0 + 0.2 * rng.standard_normal((3, 2))]))
     beta0, beta_scale, s2_0, _ = hetero._start(data, data)
-    lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
+    lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale, workspace(4, data.n))
     for i in range(4):
         one = data.take(i)
-        alone = _newton(one, one, beta0[i], s2_0[i], beta_scale[i])
+        alone = _newton(one, one, beta0[i], s2_0[i], beta_scale[i], workspace(data.n))
         assert [np.float64(v).tobytes() for v in alone] == [np.float64(v[i]).tobytes()
                                                             for v in lanes]
     assert lanes[5][0] == best_at + hetero.STALL_STEPS < lanes[5].max()

@@ -274,6 +274,25 @@ def test_chunked_lanes_give_the_table_of_one_chunk(monkeypatch, max_iterations):
     assert whole.failed.any() == (max_iterations == 3)
 
 
+def test_a_scenario_makes_one_workspace():
+    # chunks of 81, 81 and 3 replicates: the lanes of the first two and the
+    # replicates of the last, fitted alone, all run in the scenario's workspace
+    cfg = make_scenario(n=100, k=2, x0=0.8, n_reps=165, seed=7)
+    assert simulate.LANE_ELEMENTS // (2 * cfg.n + cfg.k) == 81
+    assert cfg.n_reps - 2 * 81 < simulate.LANE_MIN
+    shapes, workspace = [], hetero.workspace
+
+    def counted(*shape):
+        shapes.append(shape)
+        return workspace(*shape)
+
+    with patch.object(hetero, "workspace", counted), patch.object(simulate, "workspace",
+                                                                  counted):
+        table = simulate_replicates(cfg)
+    assert shapes == [(81, 100)]
+    assert not table.failed.any()
+
+
 @st.composite
 def design_stacks(draw):
     """m datasets on one design drawn from the heteroscedastic model, one
@@ -332,13 +351,13 @@ def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_s
     rng = np.random.default_rng(order_seed)
     order = rng.permutation(lanes)
     part = rng.choice(lanes, size=rng.integers(0, lanes.size + 1), replace=False)
-    work = hetero.workspace(data.n)  # shared by the fits alone, as in simulate_replicates
+    work = hetero.workspace(len(y), data.n)  # shared by every fit, as in simulate_replicates
     with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
         own = _own_fits(x, dv, y, y0)
-        alone = np.array([simulate._fit(data.take(i), 0.95, work) for i in range(len(y))])
-        whole = simulate._fit(data.take(lanes), 0.95)
-        shuffled = simulate._fit(data.take(order), 0.95)
-        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), 0.95)
+        alone = np.array([simulate._fit(data.take(i), 0.95, work[:, 0]) for i in range(len(y))])
+        whole = simulate._fit(data.take(lanes), 0.95, work[:, :lanes.size])
+        shuffled = simulate._fit(data.take(order), 0.95, work[:, :order.size])
+        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), 0.95, work[:, :part.size])
     _assert_same_bits(alone, own)
     _assert_same_bits(whole, own[lanes])
     _assert_same_bits(shuffled, own[order])
@@ -398,24 +417,24 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
     data = DataStack(x, dv, y, y0)
     assert np.all(data.ss0 > 0.0)
     own = _own_fits(x, dv, y, y0)
-    work = hetero.workspace(x.size)
-    lanes = simulate._fit(data, 0.95)
+    work = hetero.workspace(len(y), x.size)
+    lanes = simulate._fit(data, 0.95, work)
     _assert_same_bits(lanes, own)
-    _assert_same_bits(np.array([simulate._fit(data.take(i), 0.95, work)
+    _assert_same_bits(np.array([simulate._fit(data.take(i), 0.95, work[:, 0])
                                 for i in range(len(y))]), own)
     assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
     # the two Newton drivers return the same six values, failed lanes too
     beta0, beta_scale, s2_0, _ = hetero._start(data, data)
-    driven = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
+    driven = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale, work)
     for i in range(len(y)):
         first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
         start = hetero._start(first, second)
-        one = hetero._newton(first, second, start[0], start[2], start[1])
+        one = hetero._newton(first, second, start[0], start[2], start[1], work[:, 0])
         assert [np.float64(v).tobytes() for v in one] == [np.float64(v[i]).tobytes()
                                                           for v in driven]
     for i in bad:
         first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
-        _, verdict = hetero._hetero(first, second)
+        _, verdict = hetero._hetero(first, second, work[:, 0])
         assert [name for name, failed in verdict if failed][0] == reason
         with pytest.raises(proposed_error):
             fit_hetero(first, second)
@@ -451,10 +470,12 @@ def test_lanes_that_halve_and_lanes_that_do_not_share_a_line_search():
 
     with patch.object(hetero, "_direction", record_direction), \
             patch.object(hetero, "_trial", record_trial):
-        lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale)
+        lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale,
+                                     hetero.workspace(m, 5))
     assert any(len(t) > 1 and (t[1] == t[0]).any() and (t[1] < t[0]).any() for t in rounds)
     for i in range(m):
         one = data.take(i)
-        alone = hetero._newton(one, one, beta0[i], s2_0[i], beta_scale[i])
+        alone = hetero._newton(one, one, beta0[i], s2_0[i], beta_scale[i],
+                               hetero.workspace(5))
         assert [np.float64(v).tobytes() for v in alone] == [np.float64(v[i]).tobytes()
                                                             for v in lanes]
