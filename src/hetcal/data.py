@@ -60,10 +60,11 @@ def _require(ok: np.ndarray, name: str, vec: np.ndarray, error: type, what: str)
 
 
 def _sum(v):
-    """Sum over the last axis: of one vector, or of each row of a stack, by
-    the same pairwise summation (row i sums as the vector alone, bit for
-    bit).  ``np.sum`` with its dispatch layers costs several times more per
-    call on short vectors."""
+    """Sum over the last axis: of one vector, or of each row of a stack or
+    of a block of rows, by the same pairwise summation (row i sums as the
+    vector alone, bit for bit), so a kernel sums all its terms in one call.
+    ``np.sum`` with its dispatch layers costs several times more per call on
+    short vectors."""
     return np.add.reduce(v, axis=-1)
 
 
@@ -74,14 +75,17 @@ def _col(v):
 
 
 def _first_summaries(x: np.ndarray, y: np.ndarray):
-    """``(xbar, ybar, xc, yc, slope_threshold)`` over the last axis, of one
-    dataset or of a stack of responses ``y`` (m, n) on one design ``x``."""
+    """``(xbar, ybar, xc, yc, sxx, sxy, slope_threshold)`` over the last
+    axis, of one dataset or of a stack of responses ``y`` (m, n) on one
+    design ``x``: the means, the centred vectors and their sums of squares
+    and products."""
     # finite data near the largest float can still overflow a sum or a spread
     with np.errstate(all="ignore"):
         xbar, ybar = _sum(x) / x.shape[-1], _sum(y) / y.shape[-1]
+        xc, yc = x - _col(xbar), y - _col(ybar)
         rscale, cscale = (np.ptp(y, axis=-1), np.ptp(x, axis=-1)) if x.size else (0.0, 0.0)
         threshold = np.where((rscale != 0) & (cscale != 0), 1e-12 * rscale / cscale, 1e-12)
-        return xbar, ybar, x - _col(xbar), y - _col(ybar), threshold
+        return xbar, ybar, xc, yc, _sum(xc * xc), _sum(xc * yc), threshold
 
 
 def _second_summaries(y0: np.ndarray):
@@ -99,9 +103,10 @@ class FirstStageData:
     analyst), instrument responses ``y``, and the known preparation-error
     variances ``delta_var`` (one per standard, in squared concentration units).
 
-    Also holds the means ``xbar``, ``ybar``, the centred ``xc``, ``yc`` and
-    ``slope_threshold``, the smallest slope magnitude taken as nonzero; it is
-    relative to the response/concentration spread, so it holds in any unit.
+    Also holds the means ``xbar``, ``ybar``, the centred ``xc``, ``yc``, their
+    sums ``sxx`` of xc * xc and ``sxy`` of xc * yc, and ``slope_threshold``,
+    the smallest slope magnitude taken as nonzero; it is relative to the
+    response/concentration spread, so it holds in any unit.
     """
 
     x_fixed: np.ndarray
@@ -111,6 +116,8 @@ class FirstStageData:
     ybar: float = field(init=False, repr=False)
     xc: np.ndarray = field(init=False, repr=False)
     yc: np.ndarray = field(init=False, repr=False)
+    sxx: float = field(init=False, repr=False)
+    sxy: float = field(init=False, repr=False)
     slope_threshold: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -123,9 +130,10 @@ class FirstStageData:
                  "nonnegative finite number")
         _require(np.isfinite(x), "x_fixed", x, NonFiniteValue, "finite number")
         _require(np.isfinite(y), "y", y, NonFiniteValue, "finite number")
-        xbar, ybar, xc, yc, threshold = _first_summaries(x, y)
+        xbar, ybar, xc, yc, sxx, sxy, threshold = _first_summaries(x, y)
         xc.flags.writeable = yc.flags.writeable = False
-        _set(self, xbar=float(xbar), ybar=float(ybar), xc=xc, yc=yc,
+        # the sums stay numpy floats, whose division by zero gives inf, not an error
+        _set(self, xbar=float(xbar), ybar=float(ybar), xc=xc, yc=yc, sxx=sxx, sxy=sxy,
              slope_threshold=float(threshold))
 
     @property
@@ -173,15 +181,17 @@ class DataStack:
     ybar: np.ndarray = field(init=False, repr=False)
     xc: np.ndarray = field(init=False, repr=False)
     yc: np.ndarray = field(init=False, repr=False)
+    sxx: float = field(init=False, repr=False)
+    sxy: np.ndarray = field(init=False, repr=False)
     slope_threshold: np.ndarray = field(init=False, repr=False)
     y0bar: np.ndarray = field(init=False, repr=False)
     ss0: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        xbar, ybar, xc, yc, threshold = _first_summaries(self.x_fixed, self.y)
+        xbar, ybar, xc, yc, sxx, sxy, threshold = _first_summaries(self.x_fixed, self.y)
         y0bar, ss0 = _second_summaries(self.y0)
-        _set(self, xbar=xbar, ybar=ybar, xc=xc, yc=yc, slope_threshold=threshold,
-             y0bar=y0bar, ss0=ss0)
+        _set(self, xbar=xbar, ybar=ybar, xc=xc, yc=yc, sxx=sxx, sxy=sxy,
+             slope_threshold=threshold, y0bar=y0bar, ss0=ss0)
 
     def take(self, rows) -> DataStack:
         """The stack of the datasets in ``rows`` (indices or a mask).  A
@@ -189,7 +199,7 @@ class DataStack:
         summaries, which the estimators take as they take the containers."""
         part = object.__new__(DataStack)
         _set(part, x_fixed=self.x_fixed, delta_var=self.delta_var, xbar=self.xbar,
-             xc=self.xc, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
+             xc=self.xc, sxx=self.sxx, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
         return part
 
     @property
@@ -201,7 +211,7 @@ class DataStack:
         return self.y0.shape[-1]
 
 
-_ROW_FIELDS = ("y", "y0", "ybar", "yc", "slope_threshold", "y0bar", "ss0")
+_ROW_FIELDS = ("y", "y0", "ybar", "yc", "sxy", "slope_threshold", "y0bar", "ss0")
 
 
 @dataclass(frozen=True)

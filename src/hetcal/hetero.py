@@ -19,9 +19,13 @@ evaluate those same formulas.  Each point of the iteration is evaluated once:
 ``_derivatives`` at an accepted point reads instead of recomputing them.
 Both write every n-length intermediate into a ``workspace`` with ufunc
 ``out=``, so an iteration allocates no vectors; the caller makes it, once per
-fit or scenario.  The kernels reduce over the last axis, so they take one
-dataset or a ``DataStack`` of datasets on one design.  ``_hetero`` fits
-either, picking the driver from the shape of its input: ``_newton`` on one
+fit or scenario, and it starts on a page boundary.  Each kernel writes the
+terms it sums into rows of the workspace and sums them in one reduction
+(``_variance_x0`` in two, before and after the means it centres on): on short
+designs a reduction costs its call, not its additions, and a row sums to the
+same bits in a block of rows as alone.  The kernels reduce over the last
+axis, so they take one dataset or a ``DataStack`` of datasets on one design.
+``_hetero`` fits either, picking the driver from the shape of its input: ``_newton`` on one
 dataset (``_exact`` where its readings are identical) or ``_newton_lanes``
 on a stack, one lane per dataset; both drivers step and stop by one rule
 (``_direction``, ``_trial``) with the same elementary operations in the same
@@ -108,7 +112,7 @@ def fisher_information(theta: Theta, first: FirstStageData, k: int) -> np.ndarra
         gam = _gamma(be, s2, first.delta_var)
         x, dv, g2 = first.x_fixed, first.delta_var, gam * gam
         terms = (1.0 / gam, x / gam, x * x / gam, 1.0 / g2, dv / g2, dv * dv / g2)
-        s1, sx, sxx, t1, td, tdd = (_sum(t) for t in terms)
+        s1, sx, sxx, t1, td, tdd = _sum(np.stack(terms))
         info[0, 0] = s1 + k / s2
         info[0, 1] = info[1, 0] = sx + k * x0 / s2
         info[0, 2] = info[2, 0] = k * be / s2
@@ -134,45 +138,57 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     """
     _, beta, x0, s2 = _require_parameters(k, **vars(theta))
     _require_slope(theta.beta, first)
-    var, verdict = _variance_x0(beta, x0, s2, first, k)
+    var, verdict = _variance_x0(beta, x0, s2, first, k, workspace(first.n))
     _raise_first(verdict, beta=theta.beta)
     return float(_require_finite("variance_x0", var, **vars(theta)))
 
 
-def _variance_x0(be, x0, s2, first, k):
+def _variance_x0(be, x0, s2, first, k, work):
     """The body of ``variance_x0`` over the last axis, for one dataset or
-    stacked lanes: ``var_x0`` and its verdict, which fails where every
-    weight vanished (``beta * beta`` overflowed) or the information is singular."""
+    stacked lanes, in ``work`` (one lane per dataset of a stack): ``var_x0``
+    and its verdict, which fails where every weight vanished (``beta *
+    beta`` overflowed) or the information is singular."""
+    x, dv = first.x_fixed, first.delta_var
+    w, xw, w2, dvw2, xdw, ddw2 = work[:6]
     with np.errstate(all="ignore"):
-        w = 1.0 / _gamma(be, s2, first.delta_var)
-        w2 = w * w
-        x, dv = first.x_fixed, first.delta_var
-        s1 = _sum(w)
-        xbar = _sum(x * w) / s1
-        t1 = _sum(w2)
-        td = _sum(dv * w2)
-        dbar = td / t1
-        xd, dd = x - _col(xbar), dv - _col(dbar)
+        np.divide(1.0, _gamma(be, s2, dv, out=w), out=w)
+        np.multiply(x, w, out=xw)
+        np.multiply(w, w, out=w2)
+        np.multiply(dv, w2, out=dvw2)
+        s1, sxw, t1, td = _sum(work[:4])
+        xbar, dbar = sxw / s1, td / t1
+        np.subtract(x, _col(xbar), out=xdw)
+        np.multiply(np.multiply(xdw, xdw, out=xdw), w, out=xdw)
+        np.subtract(dv, _col(dbar), out=ddw2)
+        np.multiply(np.multiply(ddw2, ddw2, out=ddw2), w2, out=ddw2)
+        sxd, sdd = _sum(work[4:6])
         # the last term is what eliminating sigma_eps2 leaves of the slope's
         # information through the preparation-error variances
-        b = _sum(xd * xd * w) + 2.0 * be * be * (
-            _sum(dd * dd * w2) + td * dbar * k / (k + s2 * s2 * t1)
-        )
+        b = sxd + 2.0 * be * be * (sdd + td * dbar * k / (k + s2 * s2 * t1))
         m = xbar - x0
         var = (s2 / k + (b + s1 * m * m) / (s1 * b)) / (be * be)
         return var, (("weights", ~(s1 > 0.0)), ("singular", b <= 1e-12 * (b + s1 * xbar * xbar)))
 
 
-# rows of a workspace: the point's 1 / gamma and d / gamma, then three scratch rows
-_ROWS = 5
+# rows of a workspace: the point's 1 / gamma and d / gamma, then the rows of
+# the terms that each kernel sums in one reduction (11 in ``_derivatives``),
+# and one scratch row
+_ROWS = 14
+_PAGE = 4096  # bytes; a workspace starts on a page boundary
 
 
 def workspace(*shape: int) -> np.ndarray:
     """Scratch space for the Newton kernels: ``workspace(n)`` for one
     dataset of n standards, ``workspace(m, n)`` for a stack of m.  The
     kernels write every n-length intermediate into it, so an iteration
-    allocates no vectors; one workspace serves any number of fits in turn."""
-    return np.empty((_ROWS, *shape))
+    allocates no vectors; one workspace serves any number of fits in turn.
+
+    It starts on a page boundary, so the speed of the kernels on long
+    designs does not depend on where the allocator put it."""
+    size = _ROWS * math.prod(shape)
+    raw = np.empty(size + _PAGE // 8)
+    skip = (-raw.ctypes.data % _PAGE) // 8
+    return raw[skip:skip + size].reshape(_ROWS, *shape)
 
 
 def _point(first, beta, s2, ss0, k, work, d=None):
@@ -184,14 +200,14 @@ def _point(first, beta, s2, ss0, k, work, d=None):
     ``_derivatives`` at the same point.  ``d`` are the first-stage
     residuals; by default the centered ones at the profiled intercept.
     """
-    ig, e, a, b, _ = work
-    np.divide(1.0, _gamma(beta, s2, first.delta_var, out=a), out=ig)
-    logdet = _sum(np.log(a, out=a))
+    ig, e, log_gamma, de, scratch = work[:5]
+    np.divide(1.0, _gamma(beta, s2, first.delta_var, out=log_gamma), out=ig)
+    np.log(log_gamma, out=log_gamma)
     if d is None:
-        d = np.subtract(first.yc, np.multiply(_col(beta), first.xc, out=b), out=b)
-    np.multiply(d, ig, out=e)
-    value = -0.5 * logdet - 0.5 * k * np.log(s2) - 0.5 * (_sum(np.multiply(d, e, out=a))
-                                                         + ss0 / s2)
+        d = np.subtract(first.yc, np.multiply(_col(beta), first.xc, out=scratch), out=scratch)
+    np.multiply(d, np.multiply(d, ig, out=e), out=de)
+    logdet, sum_de = _sum(work[2:4])
+    value = -0.5 * logdet - 0.5 * k * np.log(s2) - 0.5 * (sum_de + ss0 / s2)
     valid = (s2 > 0.0) & (s2 < math.inf) & (abs(beta) < math.inf)
     return np.where(valid, value, -math.inf)[()]  # [()]: one dataset's value as a scalar
 
@@ -206,30 +222,31 @@ def _derivatives(first, second, beta, s2, work):
     units of 1 / s2) and the second derivatives of ``_point`` in (slope,
     variance), from what ``_point`` left in ``work`` at (beta, s2).
     """
-    ig, e, a, b, c = work
+    ig, e = work[:2]
+    w, abs_w, dvw, u, dvu, dv2u, xe, xd, dvxd, abs_xe, xxig, ee = work[2:]
     xc, dv, ss0, k = first.xc, first.delta_var, second.ss0, second.k
     # w = (gamma - d^2) / gamma^2 and u = (gamma - 2 d^2) / gamma^3
-    np.multiply(e, e, out=b)
-    np.subtract(ig, b, out=a)  # w
-    sum_w = _sum(a)
-    sum_abs_w = _sum(np.abs(a, out=c))
-    dvw = _sum(np.multiply(dv, a, out=c))
-    np.multiply(np.subtract(a, b, out=a), ig, out=a)  # u
-    sum_u = _sum(a)
-    sum_dvu = _sum(np.multiply(dv, a, out=a))
-    sum_dv2u = _sum(np.multiply(dv, a, out=a))
+    np.multiply(e, e, out=ee)
+    np.subtract(ig, ee, out=w)
+    np.abs(w, out=abs_w)
+    np.multiply(dv, w, out=dvw)
+    np.multiply(np.subtract(w, ee, out=u), ig, out=u)
+    np.multiply(dv, u, out=dvu)
+    np.multiply(dv, dvu, out=dv2u)
     # xc d / gamma, then xd = xc d / gamma^2
-    sum_xe = _sum(np.multiply(xc, e, out=a))
-    sum_xd = _sum(np.multiply(a, ig, out=a))
-    sum_dvxd = _sum(np.multiply(dv, a, out=a))
-    sum_abs_xe = _sum(np.abs(np.multiply(first.x_fixed, e, out=a), out=a))
-    sum_xxig = _sum(np.multiply(np.multiply(xc, ig, out=a), xc, out=a))
+    np.multiply(xc, e, out=xe)
+    np.multiply(xe, ig, out=xd)
+    np.multiply(dv, xd, out=dvxd)
+    np.abs(np.multiply(first.x_fixed, e, out=abs_xe), out=abs_xe)
+    np.multiply(np.multiply(xc, ig, out=xxig), xc, out=xxig)
+    (sum_w, sum_abs_w, sum_dvw, sum_u, sum_dvu, sum_dv2u, sum_xe, sum_xd, sum_dvxd, sum_abs_xe,
+     sum_xxig) = _sum(work[2:13])
     s22 = s2 * s2
-    r_beta = beta * dvw - sum_xe
+    r_beta = beta * sum_dvw - sum_xe
     r_sigma = sum_w - (ss0 / s22 - k / s2)
     scaled = np.maximum(abs(r_beta) / (sum_abs_xe + 1.0),
                         abs(r_sigma) / (sum_abs_w + ss0 / s22 + k / s2))
-    h_bb = -dvw + 2.0 * beta * beta * sum_dv2u - sum_xxig - 4.0 * beta * sum_dvxd
+    h_bb = -sum_dvw + 2.0 * beta * beta * sum_dv2u - sum_xxig - 4.0 * beta * sum_dvxd
     h_bs = beta * sum_dvu - sum_xd
     h_ss = 0.5 * sum_u + 0.5 * k / s22 - ss0 / (s22 * s2)
     return r_beta, r_sigma, scaled, h_bb, h_bs, h_ss
@@ -415,7 +432,7 @@ def _start(first, second):
     a fitted variance at or below ``floor``, 1e-12 of the data's variances,
     counts as driven to the boundary."""
     with np.errstate(all="ignore"):  # responses near the float limit overflow the squares
-        beta0 = _sum(first.xc * first.yc) / _sum(first.xc * first.xc)
+        beta0 = first.sxy / first.sxx
         beta_scale = np.where(beta0 != 0, abs(beta0), first.slope_threshold + 1.0)[()]
         s2_0 = second.ss0 / second.k
         floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)  # np.var(y)
@@ -427,8 +444,9 @@ def _hetero(first, second, work):
     ``DataStack`` given as both stages whose readings all differ: the record
     that ``_fit_result`` reads, converged where its scaled score is below
     ``SCORE_TOL``, and its verdict, in the order it is judged.  A stack runs
-    ``_newton_lanes`` in the leading lanes of ``work``, one dataset ``_newton``
-    in ``work``, or ``_exact`` where its readings are identical."""
+    ``_newton_lanes`` in ``work``, one lane per dataset, one dataset
+    ``_newton`` in ``work``, or ``_exact`` where its readings are identical;
+    the variance is read in the same ``work``."""
     if first.y.ndim == 1 and second.ss0 <= 0.0:
         return _exact(first, second)
     newton = _newton_lanes if first.y.ndim > 1 else _newton
@@ -437,7 +455,7 @@ def _hetero(first, second, work):
         beta, s2, scaled, norm, loglik, iterations = newton(first, second, beta0, s2_0,
                                                              beta_scale, work)
         alpha, x0 = _alpha_x0(beta, first, second)
-        var, variance_verdict = _variance_x0(beta, x0, s2, first, second.k)
+        var, variance_verdict = _variance_x0(beta, x0, s2, first, second.k, work)
         # a driver stops at the first iterate whose variance is not representable
         verdict = (("overflow", ~_representable(s2)), ("boundary", s2 <= floor),
                    _slope_verdict(beta, first), *variance_verdict,

@@ -208,8 +208,10 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     reported = np.full((cfg.n_reps, 2, 4), np.nan)
     chunk = max(1, LANE_ELEMENTS // (2 * cfg.n + cfg.k))
     # one workspace for the largest chunk: a workspace per fit of a long
-    # design would be allocated and returned to the system by every fit
-    work = workspace(min(chunk, cfg.n_reps), cfg.n)
+    # design would be allocated and returned to the system by every fit.
+    # Chunks too short for lanes fit every replicate alone, in lane 0
+    lanes = min(chunk, cfg.n_reps)
+    work = workspace(lanes if lanes >= LANE_MIN else 1, cfg.n)
     for start in range(0, cfg.n_reps, chunk):
         _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), reported, work)
     x0, var, lo, hi = np.moveaxis(reported, 2, 0)

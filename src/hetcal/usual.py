@@ -79,7 +79,7 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
 def _variance_usual(beta, x0, sigma_eps2, first, k):
     """The body of ``variance_usual``, for one dataset or a stack."""
     n = first.n
-    sxx = _sum(first.xc * first.xc) / n
+    sxx = first.sxx / n
     m = first.xbar - x0
     return sigma_eps2 / (beta * beta) * (1.0 / k + 1.0 / n + m * m / (n * sxx))
 
@@ -91,7 +91,7 @@ def _usual(first, second):
     zero or an output is not finite."""
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
         n, k = first.n, second.k
-        beta = (_sum(first.xc * first.yc) / n) / (_sum(first.xc * first.xc) / n)
+        beta = (first.sxy / n) / (first.sxx / n)
         alpha, x0 = _alpha_x0(beta, first, second)
         r = first.y - _col(alpha) - _col(beta) * first.x_fixed
         sigma_eps2 = (_sum(r * r) + second.ss0) / (n + k)

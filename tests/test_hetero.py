@@ -550,6 +550,66 @@ def test_newton_in_a_caller_workspace_allocates_no_vector():
     assert peak < first.n * 8  # less than one n-vector of float64
 
 
+# design lengths about numpy's 8-way unrolled sum and its 128-element pairwise block
+REDUCE_LENGTHS = [1, 2, 7, 8, 9, 127, 128, 129, 5000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(REDUCE_LENGTHS), rows=st.integers(1, hetero._ROWS),
+       m=st.integers(1, 5), spare=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_a_row_sums_to_the_same_bits_in_a_block_of_rows(n, rows, m, spare, seed):
+    # the kernels sum all their terms in one reduction over rows of the
+    # workspace, and the lanes sum in a view of its leading lanes: each row
+    # must sum as the vector alone, bit for bit.  The terms span 16 decades,
+    # so the order of the additions shows in the last bits
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((hetero._ROWS, m, n)) * 10.0 ** rng.uniform(-8, 8, (1, 1, n))
+    alone = [[np.add.reduce(np.array(values[j, i])).tobytes() for i in range(m)]
+             for j in range(hetero._ROWS)]
+    block = values[:rows, 0]
+    assert [s.tobytes() for s in hetero._sum(block)] == [a[0] for a in alone[:rows]]
+    lanes = workspace(m + spare, n)[:, :m]
+    lanes[...] = values
+    summed = hetero._sum(lanes[hetero._ROWS - rows:])
+    assert [[s.tobytes() for s in row] for row in summed] == alone[hetero._ROWS - rows:]
+    one = workspace(n)
+    one[...] = values[:, 0]
+    assert [s.tobytes() for s in hetero._sum(one[:rows])] == [a[0] for a in alone[:rows]]
+
+
+@pytest.mark.parametrize("shape", [(n,) for n in REDUCE_LENGTHS] + [(3, 5), (81, 100),
+                                                                     (1, 5000)])
+def test_a_workspace_starts_on_a_page(shape):
+    work = workspace(*shape)
+    assert work.shape == (hetero._ROWS, *shape) and work.flags.c_contiguous
+    assert work.ctypes.data % 4096 == 0
+
+
+def test_each_kernel_sums_its_terms_in_one_reduction(analytes, monkeypatch):
+    # _point and _derivatives reduce once, _variance_x0 before and after the
+    # means it centres on, fisher_information once
+    first, second = analytes["cadmium"]
+    t = fit_hetero(first, second).theta_hat
+    calls, reduce = [], hetero._sum
+
+    def counted(v):
+        calls.append(v.shape)
+        return reduce(v)
+
+    monkeypatch.setattr(hetero, "_sum", counted)
+    work = workspace(first.n)
+    for kernel, reductions in (
+        (lambda: _point(first, t.beta, t.sigma_eps2, second.ss0, second.k, work), 1),
+        (lambda: _derivatives(first, second, t.beta, t.sigma_eps2, work), 1),
+        (lambda: hetero._variance_x0(t.beta, t.x0, t.sigma_eps2, first, second.k, work), 2),
+        (lambda: fisher_information(t, first, second.k), 1),
+    ):
+        calls.clear()
+        kernel()
+        assert len(calls) == reductions
+        assert all(len(shape) == 2 for shape in calls)  # each a block of rows
+
+
 # runs that made no new smallest scaled score after their 5th and 82nd Newton
 # steps: (x, delta_var, y, y0, that step, the fit as float.hex of alpha, beta,
 # x0, sigma_eps2, var_x0, log-likelihood and score norm).  Without the stall

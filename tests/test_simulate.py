@@ -276,21 +276,27 @@ def test_chunked_lanes_give_the_table_of_one_chunk(monkeypatch, max_iterations):
 
 def test_a_scenario_makes_one_workspace():
     # chunks of 81, 81 and 3 replicates: the lanes of the first two and the
-    # replicates of the last, fitted alone, all run in the scenario's workspace
+    # replicates of the last, fitted alone, all run in the scenario's workspace.
+    # n = 3000, k = 2 gives chunks of 2, too short for lanes: every replicate
+    # is fitted alone, so the workspace has one lane
+    short = make_scenario(n=3000, k=2, x0=0.8, n_reps=5, seed=7)
+    assert simulate.LANE_ELEMENTS // (2 * short.n + short.k) == 2 < simulate.LANE_MIN
     cfg = make_scenario(n=100, k=2, x0=0.8, n_reps=165, seed=7)
     assert simulate.LANE_ELEMENTS // (2 * cfg.n + cfg.k) == 81
     assert cfg.n_reps - 2 * 81 < simulate.LANE_MIN
-    shapes, workspace = [], hetero.workspace
+    workspace = hetero.workspace
+    for scenario, lanes in ((cfg, 81), (short, 1)):
+        shapes = []
 
-    def counted(*shape):
-        shapes.append(shape)
-        return workspace(*shape)
+        def counted(*shape):
+            shapes.append(shape)
+            return workspace(*shape)
 
-    with patch.object(hetero, "workspace", counted), patch.object(simulate, "workspace",
-                                                                  counted):
-        table = simulate_replicates(cfg)
-    assert shapes == [(81, 100)]
-    assert not table.failed.any()
+        with patch.object(hetero, "workspace", counted), patch.object(simulate, "workspace",
+                                                                      counted):
+            table = simulate_replicates(scenario)
+        assert shapes == [(lanes, scenario.n)]
+        assert not table.failed.any()
 
 
 @st.composite
