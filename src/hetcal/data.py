@@ -54,8 +54,8 @@ def _set(container, **fields):
 
 def _require(ok: np.ndarray, name: str, vec: np.ndarray, error: type, what: str):
     """Raise ``error`` naming the first entry of ``vec`` where ``ok`` is false."""
-    if not np.all(ok):
-        bad = int(np.flatnonzero(~ok)[0])
+    if not ok.all():
+        bad = int(ok.argmin())
         raise error(f"{name}[{bad}] = {vec[bad]} is not a {what}")
 
 
@@ -66,6 +66,13 @@ def _sum(v):
     ``np.sum`` with its dispatch layers costs several times more per call on
     short vectors."""
     return np.add.reduce(v, axis=-1)
+
+
+def _span(v):
+    """The spread of each vector over the last axis: ``np.ptp`` without its
+    Python wrapper, which costs more than the two reductions on short
+    vectors."""
+    return np.maximum.reduce(v, axis=-1) - np.minimum.reduce(v, axis=-1)
 
 
 def _col(v):
@@ -83,7 +90,8 @@ def _first_summaries(x: np.ndarray, y: np.ndarray):
     with np.errstate(all="ignore"):
         xbar, ybar = _sum(x) / x.shape[-1], _sum(y) / y.shape[-1]
         xc, yc = x - _col(xbar), y - _col(ybar)
-        rscale, cscale = (np.ptp(y, axis=-1), np.ptp(x, axis=-1)) if x.size else (0.0, 0.0)
+        # an empty design has no span; numpy zeros divide to nan here, where floats would raise
+        rscale, cscale = (_span(y), _span(x)) if x.size else (np.float64(0.0), np.float64(0.0))
         threshold = np.where((rscale != 0) & (cscale != 0), 1e-12 * rscale / cscale, 1e-12)
         return xbar, ybar, xc, yc, _sum(xc * xc), _sum(xc * yc), threshold
 
@@ -126,10 +134,12 @@ class FirstStageData:
         if y.size != x.size or dv.size != x.size:
             raise MismatchedLengths(f"first-stage vectors have lengths {x.size}, {y.size}, "
                                     f"{dv.size}; they must match")
-        _require((dv >= 0) & (dv < np.inf), "delta_var", dv, NegativeVariance,
-                 "nonnegative finite number")
-        _require(np.isfinite(x), "x_fixed", x, NonFiniteValue, "finite number")
-        _require(np.isfinite(y), "y", y, NonFiniteValue, "finite number")
+        # one check of every entry; the checks of each vector name the first bad one
+        dv_ok = (dv >= 0) & (dv < np.inf)
+        if not (dv_ok & np.isfinite(x) & np.isfinite(y)).all():
+            _require(dv_ok, "delta_var", dv, NegativeVariance, "nonnegative finite number")
+            _require(np.isfinite(x), "x_fixed", x, NonFiniteValue, "finite number")
+            _require(np.isfinite(y), "y", y, NonFiniteValue, "finite number")
         xbar, ybar, xc, yc, sxx, sxy, threshold = _first_summaries(x, y)
         xc.flags.writeable = yc.flags.writeable = False
         # the sums stay numpy floats, whose division by zero gives inf, not an error
@@ -254,7 +264,8 @@ def validate(first: FirstStageData, second: SecondStageData):
         raise TooFewStandards(f"need at least 3 standards, got {first.n}")
     if second.k < 2:
         raise TooFewReplicates(f"need at least 2 sample readings, got {second.k}")
-    if np.ptp(first.x_fixed) == 0.0:
+    # compared, not subtracted: the spread of a design wider than the float range overflows
+    if np.maximum.reduce(first.x_fixed) == np.minimum.reduce(first.x_fixed):
         raise DegenerateDesign("all standard concentrations are identical")
     return first, second
 

@@ -16,6 +16,7 @@ import hashlib
 import io as _io
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -50,10 +51,10 @@ def _decode(data) -> str:
 
 def _read_rows(data, what: str, required: list[str], optional=()):
     """The trimmed header of a CSV file, which holds every ``required``
-    column and nothing outside ``required + optional``, each at most once,
-    and each non-blank row as ``(file line, cells)``.  A row may leave out
-    the cells after its last required column, but may not run past the
-    header."""
+    column and nothing outside ``required + optional``, each at most once;
+    and the file line and the cells of each non-blank row, in two lists.  A
+    row may leave out the cells after its last required column, but may not
+    run past the header."""
     reader = csv.reader(_io.StringIO(_decode(data)))
     header = next(reader, None)
     if header is None:
@@ -67,58 +68,64 @@ def _read_rows(data, what: str, required: list[str], optional=()):
         if names:
             raise ParseError(f"{what}: header {problem} columns {names}")
     least = 1 + max(map(header.index, required))
-    rows = []
+    lines, rows = [], []
     for cells in reader:
-        if not "".join(cells).strip():
+        # a row is blank when all its cells are; most rows show they are not by their first
+        if not (cells and cells[0].strip()) and not "".join(cells).strip():
             continue
         if not least <= len(cells) <= len(header):
             raise ParseError(f"{what}: row {reader.line_num} has {len(cells)} fields, "
                              f"expected {len(header)}")
-        rows.append((reader.line_num, cells))
-    return header, rows
-
-
-def _number(cell: str, what: str, line: int, col: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ParseError(f"{what}: row {line}, column {col}: {cell!r} is not a number") from None
+        lines.append(reader.line_num)
+        rows.append(cells)
+    return header, lines, rows
 
 
 def _read_numbers(data, what: str, columns: list[str]):
     """A file of numeric ``columns``, read by name: each row's file line, and
-    each row's values in the order of ``columns``."""
-    header, rows = _read_rows(data, what, columns)
-    order = [(col, header.index(col)) for col in columns]
-    return ([line for line, _ in rows],
-            [[_number(cells[i], what, line, col) for col, i in order] for line, cells in rows])
+    the values of each column, in the order of ``columns``.  Each column is
+    converted in one pass; where a cell is not a number, the rows are read
+    again one by one, so that the error names the first bad cell in row-major
+    order."""
+    header, lines, rows = _read_rows(data, what, columns)
+    index = [header.index(col) for col in columns]
+    try:
+        return lines, [list(map(float, map(itemgetter(i), rows))) for i in index]
+    except ValueError:
+        for line, cells in zip(lines, rows):
+            for col, i in zip(columns, index):
+                try:
+                    float(cells[i])
+                except ValueError:
+                    raise ParseError(f"{what}: row {line}, column {col}: {cells[i]!r} "
+                                     "is not a number") from None
+        raise
 
 
 def parse_first_stage(data) -> FirstStageData:
     """Read a standards CSV with columns ``X,u,Y``; variances are ``u**2``."""
-    lines, rows = _read_numbers(data, "standards file", STANDARDS_HEADER)
-    if len(rows) < 3:
+    lines, (x, u, y) = _read_numbers(data, "standards file", STANDARDS_HEADER)
+    if len(lines) < 3:
         raise TooFewStandards(
-            f"standards file has {len(rows)} data rows, need at least 3"
+            f"standards file has {len(lines)} data rows, need at least 3"
         )
-    arr = np.asarray(rows, dtype=float)
-    u = arr[:, 1]
-    if np.any(u < 0):
-        bad = int(np.flatnonzero(u < 0)[0])
-        raise NegativeUncertainty(
-            f"standards file: row {lines[bad]} has negative uncertainty {u[bad]}"
-        )
-    return FirstStageData(x_fixed=arr[:, 0], y=arr[:, 2], delta_var=u * u)
+    for line, v in zip(lines, u):
+        if v < 0:
+            raise NegativeUncertainty(
+                f"standards file: row {line} has negative uncertainty {v}"
+            )
+    # a square that overflows is inf, which the container rejects as a variance
+    return FirstStageData(x_fixed=x, y=y, delta_var=[v * v for v in u])
 
 
 def parse_second_stage(data) -> SecondStageData:
     """Read a sample CSV with column ``Y0``; readings keep file order."""
-    rows = _read_numbers(data, "sample file", SAMPLE_HEADER)[1]
-    if len(rows) < 2:
+    y0 = _read_numbers(data, "sample file", SAMPLE_HEADER)[1][0]
+    if len(y0) < 2:
         raise TooFewReplicates(
-            f"sample file has {len(rows)} data rows, need at least 2"
+            f"sample file has {len(y0)} data rows, need at least 2"
         )
-    return SecondStageData(y0=np.asarray(rows, dtype=float)[:, 0])
+    return SecondStageData(y0=y0)
 
 
 def _csv(header: list[str], rows) -> str:
@@ -153,9 +160,9 @@ def parse_scenarios(data) -> list[ScenarioConfig]:
     columns ``ci_level``, and semicolon-separated ``x_grid`` / ``delta_vars``
     vectors overriding the default design rules.
     """
-    header, rows = _read_rows(data, "scenario file", SCENARIO_FIELDS, SCENARIO_OPTIONAL)
+    header, lines, rows = _read_rows(data, "scenario file", SCENARIO_FIELDS, SCENARIO_OPTIONAL)
     configs = []
-    for line, cells in rows:
+    for line, cells in zip(lines, rows):
         rec = dict.fromkeys(SCENARIO_OPTIONAL, "")  # optional cells left out are empty
         rec.update(zip(header, cells))
         try:

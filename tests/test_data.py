@@ -62,9 +62,11 @@ def test_mismatched_lengths_rejected():
 
 
 def test_too_few_standards_rejected():
-    first = FirstStageData(x_fixed=[0, 1], y=[1, 2], delta_var=[0, 0])
-    with pytest.raises(TooFewStandards):
-        validate(first, SecondStageData(y0=[1.0, 2.0]))
+    # an empty container is built too, and rejected here
+    for n in (2, 0):
+        first = FirstStageData(x_fixed=range(n), y=range(1, n + 1), delta_var=[0] * n)
+        with pytest.raises(TooFewStandards):
+            validate(first, SecondStageData(y0=[1.0, 2.0]))
 
 
 def test_too_few_replicates_rejected():
@@ -157,3 +159,9 @@ def test_building_a_container_near_the_float_limit_does_not_warn():
         warnings.simplefilter("error")
         FirstStageData([-1e308, 0.0, 1.7e308], [1.7e308, -1.7e308, 1e308], [0.0, 0.0, 0.0])
         SecondStageData([1.7e308, 1.6e308, -1.7e308])
+
+
+def test_validating_a_design_wider_than_the_float_range_does_not_warn():
+    # the spread of these concentrations overflows; pyproject turns a RuntimeWarning into an error
+    first = FirstStageData([-1e308, 0.0, 1.7e308], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    assert validate(first, SecondStageData([1.5, 1.7]))[0] is first

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hetcal import (
     FirstStageData,
     NegativeUncertainty,
+    NegativeVariance,
     ParseError,
     SecondStageData,
     TooFewReplicates,
@@ -93,6 +94,96 @@ def test_parse_standards_reads_columns_by_trimmed_name():
         for name in ("x_fixed", "y", "delta_var"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (other, name)
     assert np.array_equal(parse_second_stage(" Y0 \n1.0\n\n2.0\n").y0, [1.0, 2.0])
+
+
+def test_parse_errors_name_the_first_bad_cell_in_row_major_order():
+    # columns are taken in X,u,Y order within a row, whatever the header's order
+    with pytest.raises(ParseError, match="row 3, column X: 'b' is not a number"):
+        parse_first_stage("Y,u,X\n1,0,0\n2,a,b\n3,0,2\n")
+    # an earlier row wins over an earlier column
+    with pytest.raises(ParseError, match="row 4, column Y: 'a' is not a number"):
+        parse_first_stage("X,u,Y\n0,0,1\n\n1,0,a\nb,0,3\n")
+    with pytest.raises(ParseError, match="row 3, column Y0: 'a' is not a number"):
+        parse_second_stage("Y0\n1\na\nb\n")
+    # the cell error comes before the row count
+    with pytest.raises(ParseError, match="row 2, column u"):
+        parse_first_stage("X,u,Y\n0,oops,1\n1,0,2\n")
+    with pytest.raises(ParseError, match="row 2, column Y0"):
+        parse_second_stage("Y0\noops\n")
+    # a negative u names its file line, with the columns in another order
+    with pytest.raises(NegativeUncertainty, match="row 5 has negative uncertainty -0.5"):
+        parse_first_stage(" u , Y, X\n0,1,0\n\n0,2,1\n -5e-1 ,3,2\n")
+
+
+def test_parse_standards_rejects_a_u_whose_square_overflows_without_a_warning():
+    # pyproject turns a RuntimeWarning into an error
+    with pytest.raises(NegativeVariance, match=r"delta_var\[1\] = inf"):
+        parse_first_stage("X,u,Y\n0,0,1\n1,1e200,2\n2,0,3\n")
+
+
+def _cell_text(value: float, form: int) -> str:
+    """One way a hand-written or exported file may spell ``value``."""
+    if form == 0:
+        return repr(value)
+    if form == 1:
+        return f"{value:.16e}"
+    if form == 2:
+        return f"{value:.5E}"
+    if form == 3:
+        return f"{value:.17g}"
+    return f"{int(value):_}" if abs(value) < 1e15 else repr(value)
+
+
+_cells = st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                   st.integers(0, 4), st.sampled_from(["", " ", "  ", "\t"]),
+                   st.sampled_from(["", " ", "\t "]))
+_u_cells = st.tuples(st.floats(0.0, 1e150) | st.sampled_from([-0.0, 5e-324, 1e-310]),
+                     st.integers(0, 4), st.sampled_from(["", " "]), st.sampled_from(["", " "]))
+
+
+def _csv_file(header: list[str], columns: list[list], blanks, blank_line: str):
+    """CSV text of ``columns`` (cells drawn as ``(value, form, pad, pad)``),
+    under ``header`` padded, with a blank line before each row in ``blanks``;
+    returns the text and the cells as written, one list per column."""
+    texts = [[f"{lead}{_cell_text(v, form)}{trail}" for v, form, lead, trail in col]
+             for col in columns]
+    lines = [", ".join(f" {name} " for name in header)]
+    for i, row in enumerate(zip(*texts)):
+        if i in blanks:
+            lines.append(blank_line)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", texts
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 12), k=st.integers(2, 6),
+       order=st.permutations(["X", "u", "Y"]),
+       blank=st.sampled_from(["", "   ", ",,", " , ,\t"]))
+def test_column_reader_keeps_the_numbers_of_each_cell(data, n, k, order, blank):
+    cells = {"X": data.draw(st.lists(_cells, min_size=n, max_size=n)),
+             "u": data.draw(st.lists(_u_cells, min_size=n, max_size=n)),
+             "Y": data.draw(st.lists(_cells, min_size=n, max_size=n))}
+    blanks = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+    text, written = _csv_file(order, [cells[c] for c in order], blanks, blank)
+    by_name = dict(zip(order, written))
+    x, u, y = (np.array([float(c) for c in by_name[c]]) for c in ("X", "u", "Y"))
+    first = parse_first_stage(text)
+    want = FirstStageData(x_fixed=x, y=y, delta_var=u * u)
+    for name, vec in (("x_fixed", x), ("y", y), ("delta_var", u * u)):
+        assert getattr(first, name).tobytes() == vec.tobytes(), name
+    for name in ("x_fixed", "y", "delta_var", "xbar", "ybar", "xc", "yc", "sxx", "sxy",
+                 "slope_threshold"):
+        assert np.asarray(getattr(first, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), name
+
+    readings = data.draw(st.lists(_cells, min_size=k, max_size=k))
+    text, (written,) = _csv_file(["Y0"], [readings], data.draw(st.sets(st.integers(0, k - 1))),
+                                 blank.replace(",", ""))
+    y0 = np.array([float(c) for c in written])
+    second, want = parse_second_stage(text), SecondStageData(y0=y0)
+    for name in ("y0", "y0bar", "ss0"):
+        assert np.asarray(getattr(second, name)).tobytes() == \
+            np.asarray(getattr(want, name)).tobytes(), name
 
 
 def test_parse_sample_keeps_order():
