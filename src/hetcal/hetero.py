@@ -12,15 +12,15 @@ Newton iteration on its closed-form gradient and Hessian maximizes it, and
 convergence is certified afterwards from the score residuals rather than
 trusted from the iteration's own stopping rule.
 
-Each formula is written once (``gamma``, ``_point``, ``_derivatives``,
+Each formula is written once (``gamma``, ``_evaluate``,
 ``fisher_information``); the public functions of the full parameter vector
-evaluate those same formulas.  Each point of the iteration is evaluated once:
-``_point`` gives the objective and leaves 1 / gamma and d / gamma, which
-``_derivatives`` at an accepted point reads instead of recomputing them.
-Both write every n-length intermediate into a ``workspace`` with ufunc
-``out=``, so an iteration allocates no vectors; the caller makes it, once per
-fit or scenario, and it starts on a page boundary.  Each kernel writes the
-terms it sums into rows of the workspace and sums them in one reduction
+evaluate those same formulas.  Each point of the iteration is evaluated once,
+by one call of ``_evaluate``, which gives the objective with its scores and
+Hessian; the iteration carries those of the point it keeps.  The kernels
+write every n-length intermediate into a ``workspace`` with ufunc ``out=``,
+so an iteration allocates no vectors; the caller makes it, once per fit or
+scenario, and it starts on a page boundary.  Each kernel writes the terms it
+sums into rows of the workspace and sums them in one reduction
 (``_variance_x0`` in two, before and after the means it centres on): on short
 designs a reduction costs its call, not its additions, and a row sums to the
 same bits in a block of rows as alone.  The kernels reduce over the last
@@ -82,8 +82,8 @@ def log_likelihood(theta: Theta, first: FirstStageData, second: SecondStageData)
     with np.errstate(all="ignore"):
         r1 = first.y - alpha - beta * first.x_fixed
         m0 = second.y0bar - alpha - beta * x0
-        value = _point(first, beta, s2, second.ss0 + second.k * m0 * m0, second.k,
-                       workspace(first.n), r1)
+        value = _evaluate(first, beta, s2, second.ss0 + second.k * m0 * m0, second.k,
+                          _rows(workspace(first.n)), r1)[0]
     return float(_require_finite("log_likelihood", value, **vars(theta)))
 
 
@@ -97,10 +97,9 @@ def score_residuals(theta: Theta, first: FirstStageData, second: SecondStageData
     value the centering term is the only difference from the raw form.
     """
     alpha, beta, _, s2 = _require_parameters(**vars(theta))
-    work = workspace(first.n)
     with np.errstate(all="ignore"):
-        _point(first, beta, s2, second.ss0, second.k, work, first.y - alpha - beta * first.x_fixed)
-        scores = _derivatives(first, second, beta, s2, work)[:2]
+        scores = _evaluate(first, beta, s2, second.ss0, second.k, _rows(workspace(first.n)),
+                           first.y - alpha - beta * first.x_fixed)[1][:2]
     return tuple(map(float, _require_finite("score_residuals", scores, **vars(theta))))
 
 
@@ -171,17 +170,18 @@ def _variance_x0(be, x0, s2, first, k, work):
 
 
 # rows of a workspace: the point's 1 / gamma and d / gamma, then the rows of
-# the terms that each kernel sums in one reduction (11 in ``_derivatives``),
-# and one scratch row
-_ROWS = 14
+# the terms that each kernel sums in one reduction (13 in ``_evaluate``: log
+# gamma, d^2 / gamma and the 11 of the scores and Hessian), and one scratch row
+_ROWS = 16
 _PAGE = 4096  # bytes; a workspace starts on a page boundary
 
 
 def workspace(*shape: int) -> np.ndarray:
-    """Scratch space for the Newton kernels: ``workspace(n)`` for one
-    dataset of n standards, ``workspace(m, n)`` for a stack of m.  The
-    kernels write every n-length intermediate into it, so an iteration
-    allocates no vectors; one workspace serves any number of fits in turn.
+    """Scratch space for the kernels: ``workspace(n)`` for one dataset of n
+    standards, ``workspace(m, n)`` for a stack of m, with ``_ROWS`` rows of
+    each.  ``_evaluate`` and ``_variance_x0`` write every n-length
+    intermediate into it, so an iteration allocates no vectors; one
+    workspace serves any number of fits in turn.
 
     It starts on a page boundary, so the speed of the kernels on long
     designs does not depend on where the allocator put it."""
@@ -191,42 +191,37 @@ def workspace(*shape: int) -> np.ndarray:
     return raw[skip:skip + size].reshape(_ROWS, *shape)
 
 
-def _point(first, beta, s2, ss0, k, work, d=None):
-    """Profiled log-likelihood at (beta, s2) from the sum of squares ``ss0``
-    of k readings; minus infinity where the variance is not positive and
-    finite or the slope is not finite.
+def _rows(work):
+    """``_evaluate``'s views of ``work``: the block of the 13 rows it sums, then each row."""
+    return (work[2:15], *work)
 
-    Leaves 1 / gamma and d / gamma in ``work[0]`` and ``work[1]`` for
-    ``_derivatives`` at the same point.  ``d`` are the first-stage
+
+def _evaluate(first, beta, s2, ss0, k, rows, d=None):
+    """Profiled log-likelihood at (beta, s2) from the sum of squares ``ss0``
+    of k readings, with its scores, scaled score and Hessian there, in the
+    workspace ``rows`` (``_rows``); beta and s2 are numpy floats, or arrays
+    for a stack.
+
+    Returns ``(value, (r_beta, r_sigma, scaled, h_bb, h_bs, h_ss))``.  The
+    value is minus infinity where the variance is not positive and finite or
+    the slope is not finite.  The scores are -(dl/dbeta, 2 dl/ds2); the
+    scaled score is the larger of the two each over the size of its own
+    terms (sum |X_i d_i / gamma_i| + 1 for the slope; sum |w_i| + ss0 /
+    s2**2 + k / s2 for the variance, which is in units of 1 / s2); the
+    second derivatives are in (slope, variance).  ``d`` are the first-stage
     residuals; by default the centered ones at the profiled intercept.
     """
-    ig, e, log_gamma, de, scratch = work[:5]
-    np.divide(1.0, _gamma(beta, s2, first.delta_var, out=log_gamma), out=ig)
+    (summed, ig, e, log_gamma, de, w, abs_w, dvw, u, dvu, dv2u, xe, xd, dvxd, abs_xe, xxig,
+     scratch) = rows
+    xc, dv = first.xc, first.delta_var
+    np.divide(1.0, _gamma(beta, s2, dv, out=log_gamma), out=ig)
     np.log(log_gamma, out=log_gamma)
     if d is None:
-        d = np.subtract(first.yc, np.multiply(_col(beta), first.xc, out=scratch), out=scratch)
+        d = np.subtract(first.yc, np.multiply(_col(beta), xc, out=scratch), out=scratch)
     np.multiply(d, np.multiply(d, ig, out=e), out=de)
-    logdet, sum_de = _sum(work[2:4])
-    value = -0.5 * logdet - 0.5 * k * np.log(s2) - 0.5 * (sum_de + ss0 / s2)
-    valid = (s2 > 0.0) & (s2 < math.inf) & (abs(beta) < math.inf)
-    return np.where(valid, value, -math.inf)[()]  # [()]: one dataset's value as a scalar
-
-
-def _derivatives(first, second, beta, s2, work):
-    """Scores, scaled score and Hessian at (beta, s2).
-
-    Returns ``(r_beta, r_sigma, scaled, h_bb, h_bs, h_ss)``: the scores
-    -(dl/dbeta, 2 dl/ds2) of ``_point``, the larger of the two scores each
-    over the size of its own terms (sum |X_i d_i / gamma_i| + 1 for the
-    slope; sum |w_i| + ss0 / s2**2 + k / s2 for the variance, which is in
-    units of 1 / s2) and the second derivatives of ``_point`` in (slope,
-    variance), from what ``_point`` left in ``work`` at (beta, s2).
-    """
-    ig, e = work[:2]
-    w, abs_w, dvw, u, dvu, dv2u, xe, xd, dvxd, abs_xe, xxig, ee = work[2:]
-    xc, dv, ss0, k = first.xc, first.delta_var, second.ss0, second.k
-    # w = (gamma - d^2) / gamma^2 and u = (gamma - 2 d^2) / gamma^3
-    np.multiply(e, e, out=ee)
+    # w = (gamma - d^2) / gamma^2 and u = (gamma - 2 d^2) / gamma^3, with
+    # ee = d^2 / gamma^2 in the scratch row that d is done with
+    ee = np.multiply(e, e, out=scratch)
     np.subtract(ig, ee, out=w)
     np.abs(w, out=abs_w)
     np.multiply(dv, w, out=dvw)
@@ -239,8 +234,13 @@ def _derivatives(first, second, beta, s2, work):
     np.multiply(dv, xd, out=dvxd)
     np.abs(np.multiply(first.x_fixed, e, out=abs_xe), out=abs_xe)
     np.multiply(np.multiply(xc, ig, out=xxig), xc, out=xxig)
-    (sum_w, sum_abs_w, sum_dvw, sum_u, sum_dvu, sum_dv2u, sum_xe, sum_xd, sum_dvxd, sum_abs_xe,
-     sum_xxig) = _sum(work[2:13])
+    (logdet, sum_de, sum_w, sum_abs_w, sum_dvw, sum_u, sum_dvu, sum_dv2u, sum_xe, sum_xd,
+     sum_dvxd, sum_abs_xe, sum_xxig) = _sum(summed)
+    value = -0.5 * logdet - 0.5 * k * np.log(s2) - 0.5 * (sum_de + ss0 / s2)
+    valid = (s2 > 0.0) & (s2 < math.inf) & (abs(beta) < math.inf)
+    # np.True_ is one valid point, without the price of a scalar's .all()
+    if not (valid is np.True_ or valid.all()):
+        value = np.where(valid, value, -math.inf)[()]  # [()]: one dataset's value as a scalar
     s22 = s2 * s2
     r_beta = beta * sum_dvw - sum_xe
     r_sigma = sum_w - (ss0 / s22 - k / s2)
@@ -249,7 +249,7 @@ def _derivatives(first, second, beta, s2, work):
     h_bb = -sum_dvw + 2.0 * beta * beta * sum_dv2u - sum_xxig - 4.0 * beta * sum_dvxd
     h_bs = beta * sum_dvu - sum_xd
     h_ss = 0.5 * sum_u + 0.5 * k / s22 - ss0 / (s22 * s2)
-    return r_beta, r_sigma, scaled, h_bb, h_bs, h_ss
+    return value, (r_beta, r_sigma, scaled, h_bb, h_bs, h_ss)
 
 
 def _representable(s2):
@@ -310,23 +310,20 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work):
     run with floating-point warnings off: a non-finite value is judged by
     the fit's verdict, not reported.
 
-    Each point is evaluated once, into the caller's ``work``: the last point
-    evaluated is the start or the accepted trial, so ``_derivatives`` reads
-    its intermediates there.
+    Each point is evaluated once, into the caller's ``work``: the start and
+    every trial, whose scores and Hessian are carried on where it is kept.
     """
     beta, s2, inf = np.float64(beta), np.float64(s2), np.float64(math.inf)  # numpy semantics
-    ss0, k = second.ss0, second.k
+    ss0, k, rows = second.ss0, second.k, _rows(work)
     with np.errstate(all="ignore"):
-        value = _point(first, beta, s2, ss0, k, work)
-        best, best_at = (beta, s2, inf, inf, value), 0
+        value, derivatives = _evaluate(first, beta, s2, ss0, k, rows)
+        best, best_at = (beta, s2, inf, inf, inf, value), 0
         iterations = 0
         while True:
-            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(first, second, beta, s2,
-                                                                     work)
+            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = derivatives
             representable = _representable(s2)
             if scaled < best[2] or not representable:
-                best = (beta, s2, scaled, np.maximum(abs(r_beta), abs(r_sigma)), value)
-                best_at = iterations
+                best, best_at = (beta, s2, scaled, r_beta, r_sigma, value), iterations
             if (iterations == MAX_ITERATIONS or iterations - best_at == STALL_STEPS
                     or not representable):
                 break
@@ -339,14 +336,14 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work):
                 step, beta_new, s2_new = _trial(beta, s2, beta_scale, t, du, dv)
                 if step < 1e-14:
                     break
-                value_new = _point(first, beta_new, s2_new, ss0, k, work)
+                value_new, derivatives = _evaluate(first, beta_new, s2_new, ss0, k, rows)
                 if value_new >= lowest:
                     break
                 t *= 0.5
             if step < 1e-14:
                 break  # converged to rounding, or no longer step keeps the objective
             beta, s2, value = beta_new, s2_new, value_new
-    return (*best, iterations)
+    return _best(*best, iterations)
 
 
 def _newton_lanes(first, second, beta, s2, beta_scale, work):
@@ -358,24 +355,21 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work):
     and dropped from the stack.  Every line search round evaluates all the
     running lanes, into the leading lanes of the caller's ``work``; a lane
     that has stopped halving evaluates its same trial point again, to the
-    same bits, so ``_derivatives`` finds every lane's accepted point there.
-    Returns ``_newton``'s six values as arrays.
+    same bits, so the last round holds every lane's scores and Hessian at
+    its kept trial.  Returns ``_newton``'s six values as arrays.
     """
-    data, m = first, beta.size
+    data, m, rows = first, beta.size, _rows(work)
     with np.errstate(all="ignore"):
-        value = _point(data, beta, s2, data.ss0, data.k, work)
-        best = [beta.copy(), s2.copy(), np.full(m, math.inf), np.full(m, math.inf),
-                value.copy()]
+        value, derivatives = _evaluate(data, beta, s2, data.ss0, data.k, rows)
+        best = [beta.copy(), s2.copy(), *np.full((3, m), math.inf), value.copy()]
         iterations, best_at = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
         lanes = np.arange(m)  # the running lanes; their data, iterate and value follow
         for count in range(MAX_ITERATIONS + 1):
-            here = work[:, :lanes.size]
-            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = _derivatives(data, data, beta, s2, here)
+            r_beta, r_sigma, scaled, h_bb, h_bs, h_ss = derivatives
             fine = _representable(s2)
             better = (scaled < best[2][lanes]) | ~fine
             improved = lanes[better]
-            norm = np.maximum(abs(r_beta), abs(r_sigma))
-            for field, new in zip(best, (beta, s2, scaled, norm, value)):
+            for field, new in zip(best, (beta, s2, scaled, r_beta, r_sigma, value)):
                 field[improved] = new[better]
             best_at[improved] = count
             if count == MAX_ITERATIONS:
@@ -388,7 +382,7 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work):
             halve = fine & ok
             while True:
                 step, beta_new, s2_new = _trial(beta, s2, beta_scale, t, du, dv)
-                value_new = _point(data, beta_new, s2_new, data.ss0, data.k, here)
+                value_new, derivatives = _evaluate(data, beta_new, s2_new, data.ss0, data.k, rows)
                 halve &= ~((value_new >= lowest) | (step < 1e-14))
                 if not halve.any():
                     break
@@ -400,9 +394,15 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work):
             beta, s2, value = beta_new, s2_new, value_new
             if not keep.all():
                 lanes, data = lanes[keep], data.take(keep)
-                work[:2, :lanes.size] = here[:2, keep]
                 beta, s2, value, beta_scale = beta[keep], s2[keep], value[keep], beta_scale[keep]
-    return (*best, iterations)
+                derivatives = tuple(v[keep] for v in derivatives)
+                rows = _rows(work[:, :lanes.size])
+    return _best(*best, iterations)
+
+
+def _best(beta, s2, scaled, r_beta, r_sigma, value, iterations):
+    """A driver's six values from its best iterate; the score norm is the larger score in size."""
+    return beta, s2, scaled, np.maximum(abs(r_beta), abs(r_sigma)), value, iterations
 
 
 def _exact(first, second):

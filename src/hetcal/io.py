@@ -149,8 +149,8 @@ def write_second_stage(second: SecondStageData) -> str:
 
 
 def _parse_vector(cell: str):
-    """A semicolon-separated vector, or None for an empty cell."""
-    return np.asarray([float(v) for v in cell.split(";") if v.strip() != ""]) if cell else None
+    """A semicolon-separated vector, or None for a cell blank after trimming."""
+    return np.asarray([float(v) for v in cell.split(";") if v.strip()]) if cell.strip() else None
 
 
 def parse_scenarios(data) -> list[ScenarioConfig]:
@@ -170,7 +170,7 @@ def parse_scenarios(data) -> list[ScenarioConfig]:
                 n=int(rec["n"]), k=int(rec["k"]), x0=float(rec["x0"]), alpha=float(rec["alpha"]),
                 beta=float(rec["beta"]), sigma_eps2=float(rec["sigma_eps2"]),
                 n_reps=int(rec["n_reps"]), seed=int(rec["seed"]),
-                ci_level=float(rec["ci_level"] or 0.95),
+                ci_level=float(rec["ci_level"].strip() or 0.95),
                 x_grid=_parse_vector(rec["x_grid"]), delta_vars=_parse_vector(rec["delta_vars"])))
         except ValueError as exc:
             raise ParseError(f"scenario file: row {line}: {exc}") from exc

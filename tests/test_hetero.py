@@ -28,7 +28,7 @@ from hetcal import (
 )
 from hetcal import hetero
 from hetcal.data import DataStack
-from hetcal.hetero import SCORE_TOL, _derivatives, _newton, _point, workspace
+from hetcal.hetero import SCORE_TOL, _evaluate, _newton, _rows, workspace
 
 from conftest import fit_or_reject, make_model_dataset, model_datasets, rel_diff
 
@@ -252,10 +252,10 @@ def test_scores_nonzero_away_from_optimum(analytes):
 
 
 def _derivatives_at(first, second, beta, s2):
-    """``_derivatives`` at (beta, s2), after ``_point`` there."""
-    work = workspace(first.n)
-    _point(first, beta, s2, second.ss0, second.k, work)
-    return _derivatives(first, second, beta, s2, work)
+    """The scores, scaled score and Hessian that ``_evaluate`` gives at
+    (beta, s2)."""
+    return _evaluate(first, np.float64(beta), np.float64(s2), second.ss0, second.k,
+                     _rows(workspace(first.n)))[1]
 
 
 def test_hessian_matches_central_differences_of_scores(analytes):
@@ -497,40 +497,65 @@ def test_distant_start_reaches_same_optimum(analytes):
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
-    assert loglik == _point(first, beta, s2, second.ss0, second.k, workspace(first.n))
+    assert loglik == _evaluate(first, beta, s2, second.ss0, second.k,
+                               _rows(workspace(first.n)))[0]
 
 
 @pytest.mark.parametrize("name, start", [("lead", None), ("chromium", (1.1e5, 5e4, 1.1e5))])
 def test_newton_evaluates_each_point_once(analytes, monkeypatch, name, start):
-    # the objective runs at the start, at every accepted step and at every
-    # halved trial, and not at the final step below 1e-14, which ends the
-    # iteration whether or not it would be kept; the distant start halves
+    # the kernel runs at the start and at every trial, accepted or halved,
+    # and not at the final step below 1e-14, which ends the iteration
+    # whether or not it would be kept, nor again at an accepted point, whose
+    # scores and Hessian its trial gave; the distant start halves
     first, second = analytes[name]
     events = []
-    point, trial, derivatives = hetero._point, hetero._trial, hetero._derivatives
+    evaluate, trial = hetero._evaluate, hetero._trial
 
     def counted_trial(*args):
         out = trial(*args)
         events.append("step" if out[0] >= 1e-14 else "tiny")
         return out
 
-    monkeypatch.setattr(hetero, "_point", lambda *a: events.append("point") or point(*a))
+    monkeypatch.setattr(hetero, "_evaluate", lambda *a: events.append("point") or evaluate(*a))
     monkeypatch.setattr(hetero, "_trial", counted_trial)
-    monkeypatch.setattr(hetero, "_derivatives",
-                        lambda *a: events.append("derivatives") or derivatives(*a))
     if start is None:
         iterations = fit_hetero(first, second).iterations
         assert iterations == 12
     else:
         iterations = _newton(first, second, *start, workspace(first.n))[5]
     points, steps = events.count("point"), events.count("step")
-    accepted = events.count("derivatives") - 1
     halvings = steps + 1 - iterations  # each iteration's last trial is not halved
     assert (events[0], events[-1], events.count("tiny")) == ("point", "tiny", 1)
-    assert points == 1 + accepted + halvings == 1 + steps
-    assert all(b == "point" for a, b in zip(events, events[1:]) if a == "step")
+    assert points == 1 + steps
+    # each trial of at least 1e-14 is evaluated once, and nothing else is
+    assert all((a == "step") == (b == "point") for a, b in zip(events, events[1:]))
     if start is not None:
         assert halvings > 0
+
+
+def test_lanes_evaluate_once_per_line_search_round(monkeypatch):
+    # _newton_lanes evaluates the running lanes once at the start and once
+    # per round of its line search, and carries the kept trial's scores and
+    # Hessian on: no evaluation between the last round and the next step.
+    # The lanes stop after different numbers of steps, and one round halves
+    rng = np.random.default_rng(5)
+    first, _, _ = make_model_dataset(rng, n=5, k=2)
+    y = first.y + 0.3 * rng.standard_normal((6, 5))
+    data = DataStack(first.x_fixed, first.delta_var, y, rng.standard_normal((6, 2)))
+    events = []
+    evaluate, trial = hetero._evaluate, hetero._trial
+
+    def counted_trial(*args):
+        events.append("round")
+        return trial(*args)
+
+    monkeypatch.setattr(hetero, "_evaluate", lambda *a: events.append("point") or evaluate(*a))
+    monkeypatch.setattr(hetero, "_trial", counted_trial)
+    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
+    iterations = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale,
+                                      workspace(6, data.n))[5]
+    assert events[0] == "point" and events.count("round") > iterations.max() > iterations.min()
+    assert events[1:] == ["round", "point"] * events.count("round")
 
 
 def test_newton_in_a_caller_workspace_allocates_no_vector():
@@ -586,8 +611,8 @@ def test_a_workspace_starts_on_a_page(shape):
 
 
 def test_each_kernel_sums_its_terms_in_one_reduction(analytes, monkeypatch):
-    # _point and _derivatives reduce once, _variance_x0 before and after the
-    # means it centres on, fisher_information once
+    # _evaluate reduces once, over a (13, n) block of rows, _variance_x0
+    # before and after the means it centres on, fisher_information once
     first, second = analytes["cadmium"]
     t = fit_hetero(first, second).theta_hat
     calls, reduce = [], hetero._sum
@@ -597,17 +622,17 @@ def test_each_kernel_sums_its_terms_in_one_reduction(analytes, monkeypatch):
         return reduce(v)
 
     monkeypatch.setattr(hetero, "_sum", counted)
-    work = workspace(first.n)
-    for kernel, reductions in (
-        (lambda: _point(first, t.beta, t.sigma_eps2, second.ss0, second.k, work), 1),
-        (lambda: _derivatives(first, second, t.beta, t.sigma_eps2, work), 1),
-        (lambda: hetero._variance_x0(t.beta, t.x0, t.sigma_eps2, first, second.k, work), 2),
-        (lambda: fisher_information(t, first, second.k), 1),
+    work, n = workspace(first.n), first.n
+    beta, s2 = np.float64(t.beta), np.float64(t.sigma_eps2)
+    for kernel, blocks in (
+        (lambda: _evaluate(first, beta, s2, second.ss0, second.k, _rows(work)), [(13, n)]),
+        (lambda: hetero._variance_x0(t.beta, t.x0, t.sigma_eps2, first, second.k, work),
+         [(4, n), (2, n)]),
+        (lambda: fisher_information(t, first, second.k), [(6, n)]),
     ):
         calls.clear()
         kernel()
-        assert len(calls) == reductions
-        assert all(len(shape) == 2 for shape in calls)  # each a block of rows
+        assert calls == blocks  # each reduction over a block of rows
 
 
 # runs that made no new smallest scaled score after their 5th and 82nd Newton

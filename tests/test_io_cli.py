@@ -238,6 +238,19 @@ def test_parse_scenarios_defaults_and_overrides():
     assert np.array_equal(cfgs[1].x_grid, [0, 1, 2])
     assert np.all(cfgs[1].delta_var_rule == 0.1)
     assert cfgs[1].ci_level == 0.95
+    # an optional cell that is blank after trimming is left empty, as in
+    # padded hand-written files
+    blank = parse_scenarios(
+        "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,ci_level,x_grid,delta_vars\n"
+        "5,2,0.8,0.1,2.0,0.04,100,7, \n"
+        "5,2,0.8,0.1,2.0,0.04,100,7,, ,\n"
+        "5,2,0.8,0.1,2.0,0.04,100,7,,, \n"
+        "5,2,0.8,0.1,2.0,0.04,100,7, \t, \t, \n"
+    )
+    for cfg in blank:
+        assert cfg.ci_level == 0.95
+        assert np.array_equal(cfg.x_grid, cfgs[0].x_grid)
+        assert np.array_equal(cfg.delta_var_rule, cfgs[0].delta_var_rule)
 
 
 def test_parse_scenarios_rejects_bad_files():
