@@ -41,12 +41,16 @@ SUMMARY_COLUMNS = [
 
 
 def _decode(data) -> str:
+    """The text of a file, without the byte-order mark that spreadsheets
+    write at the start of a "CSV UTF-8" file."""
     if isinstance(data, (bytes, bytearray)):
         try:
-            return data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    return str(data)
+    else:
+        text = str(data)
+    return text.removeprefix("\ufeff")
 
 
 def _read_rows(data, what: str, required: list[str], optional=()):

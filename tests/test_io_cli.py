@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -291,6 +292,28 @@ def test_bundled_scenario_file_parses():
     assert {c.n for c in cfgs} == {5, 20, 100, 5000}
 
 
+def test_a_byte_order_mark_at_the_start_of_a_file_is_ignored():
+    # spreadsheets save "CSV UTF-8" files with a leading byte-order mark
+    from codecs import BOM_UTF8 as BOM
+
+    from hetcal.fixtures import scenario_file_bytes
+
+    def fields(obj):
+        return [np.asarray(v).tobytes() for v in vars(obj).values()]
+
+    for name, parse in (("cadmium_standards.csv", parse_first_stage),
+                        ("cadmium_sample.csv", parse_second_stage)):
+        data = fixture_bytes(name)
+        assert fields(parse(BOM + data)) == fields(parse(data)), name
+        assert fields(parse("\ufeff" + data.decode())) == fields(parse(data)), name
+    data = scenario_file_bytes()
+    assert list(map(fields, parse_scenarios(BOM + data))) == \
+        list(map(fields, parse_scenarios(data)))
+    # only the mark is dropped: a second one is part of the first column's name
+    with pytest.raises(ParseError, match="header is missing columns \\['X'\\]"):
+        parse_first_stage(BOM + BOM + fixture_bytes("cadmium_standards.csv"))
+
+
 # ----------------------------------------------------------------- CLI
 
 
@@ -379,7 +402,9 @@ def test_cli_fit_input_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("X,u\n1,2\n")
     assert main(["fit", "--standards", str(bad), "--sample", samp]) == 1
-    capsys.readouterr()
+    # a path is opened as given: a file named as a directory is not read
+    assert main(["fit", "--standards", std + "/", "--sample", samp]) == 1
+    assert "Not a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", ["usual", "proposed", "both"])
@@ -607,6 +632,43 @@ def test_cli_fit_exact_line_whose_slope_overflows_exit_1(tmp_path, capsys, model
     assert captured.out == ""
     assert captured.err.startswith("error: the fit is not representable in floating point")
     assert captured.err.count("\n") == 1
+
+
+def _outcome(call, argv, capsys):
+    """Exit code, stdout and stderr of ``call(argv)``, which may exit."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "fit"], ["fit", "--help"], ["simulate", "--help"],
+    ["fit", "--standards", "std.csv"],
+    ["fit", "--standards", "std.csv", "--sample", "samp.csv", "--model", "bogus"],
+    ["fit", "--standards", "std.csv", "--sample", "samp.csv", "--level", "x"],
+    ["simulate", "--scenarios", "scen.csv", "--out", "out.csv", "--threads", "q"],
+    ["fit", "--standards", "std.csv", "--sample", "samp.csv", "--bogus"],
+    ["fit", "--standards", "std.csv", "--sample", "samp.csv", "extra"],
+    ["fit", "--stand", "std.csv", "--samp", "samp.csv"],
+    ["fitt", "--standards", "std.csv", "--sample", "samp.csv"],
+    ["fi", "--standards", "std.csv", "--sample", "samp.csv"],
+], ids=" ".join)
+def test_cli_parses_as_argparse_does(argv, tmp_path, capsys, monkeypatch):
+    # main hands argv to the subcommand's parser; its exits and messages are
+    # those of the full parser
+    from hetcal.cli import _PARSER
+
+    monkeypatch.chdir(tmp_path)
+    fixture_paths(tmp_path, "cadmium")
+    want = _outcome(_PARSER.parse_args, argv, capsys)
+    got = _outcome(main, argv, capsys)
+    if isinstance(want[0], argparse.Namespace):  # parsed: main went on to fit
+        assert got[0] == 0 and "proposed" in got[1]
+    else:
+        assert got == want
 
 
 def test_import_does_not_load_scipy():
