@@ -321,22 +321,35 @@ def _require_finite(function: str, value, **at):
     return value
 
 
+def _require_count(name: str, value, least: int):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (a numpy one too) of at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _require_finite_values(**values):
+    """Raise ``NonFiniteValue`` naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {value}")
+
+
 def _require_parameters(k: int = 1, zero_variance: bool = False, **theta):
     """The check of a public function of the parameters: every value in
     ``theta`` finite, ``sigma_eps2`` (where given) positive, or nonnegative
-    with ``zero_variance``, and the number of readings ``k`` at least 1;
-    raises a typed error naming the first that is not.  Returns the values
-    as numpy floats, whose overflow and division by zero give inf and NaN
-    for ``_require_finite`` to judge, never an error."""
-    for name, value in theta.items():
-        if not math.isfinite(value):
-            raise NonFiniteValue(f"{name} must be finite, got {value}")
+    with ``zero_variance``, and the number of readings ``k`` an integer of
+    at least 1; raises a typed error naming the first that is not.  Returns
+    the values as numpy floats, whose overflow and division by zero give inf
+    and NaN for ``_require_finite`` to judge, never an error."""
+    _require_finite_values(**theta)
     s2 = theta.get("sigma_eps2", 1.0)
     if s2 < 0.0 or (s2 == 0.0 and not zero_variance):
         least = "nonnegative" if zero_variance else "positive"
         raise NonPositiveVariance(f"sigma_eps2 must be {least}, got {s2}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _require_count("k", k, 1)
     return np.array(list(theta.values()), dtype=float)
 
 

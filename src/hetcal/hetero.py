@@ -27,10 +27,11 @@ same bits in a block of rows as alone.  The kernels reduce over the last
 axis, so they take one dataset or a ``DataStack`` of datasets on one design.
 ``_hetero`` fits either, picking the driver from the shape of its input: ``_newton`` on one
 dataset (``_exact`` where its readings are identical) or ``_newton_lanes``
-on a stack, one lane per dataset; both drivers step and stop by one rule
-(``_direction``, ``_trial``) with the same elementary operations in the same
-order, and ``_hetero`` judges what they return once, so a lane's fit, and
-whether it fails, equal ``fit_hetero`` bit for bit.
+on a stack, one lane per dataset.  ``_start`` returns the drivers'
+arguments; both drivers step and stop by one rule (``_direction``,
+``_trial``) with the same elementary operations in the same order and
+return the iterate they kept, and ``_hetero`` judges it once, so a lane's
+fit, and whether it fails, equal ``fit_hetero`` bit for bit.
 ``variance_x0`` reads the concentration's entry of the inverse information
 from the matrix's block structure (a delta method on the sample mean and a
 Schur complement in the variance), so it needs no second copy of the matrix.
@@ -304,9 +305,9 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work):
     taken to rounding level, where a near-flat profile can keep the steps
     just above the stop.  A step below 1e-14 ends the iteration whether or
     not it would be kept, so the objective is not evaluated there.  Returns
-    the iterate with the smallest scaled score as ``(beta, s2, scaled score,
-    score norm, log-likelihood, iterations)``, or stops at an iterate whose
-    variance cubed leaves the float range and returns that one.  The kernels
+    the iterate it kept, the one with the smallest scaled score, as ``(beta,
+    s2, scaled, r_beta, r_sigma, value, iterations)``, or stops at an iterate
+    whose variance cubed leaves the float range and returns that one.  The kernels
     run with floating-point warnings off: a non-finite value is judged by
     the fit's verdict, not reported.
 
@@ -343,7 +344,7 @@ def _newton(first, second, beta: float, s2: float, beta_scale: float, work):
             if step < 1e-14:
                 break  # converged to rounding, or no longer step keeps the objective
             beta, s2, value = beta_new, s2_new, value_new
-    return _best(*best, iterations)
+    return (*best, iterations)
 
 
 def _newton_lanes(first, second, beta, s2, beta_scale, work):
@@ -356,7 +357,7 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work):
     running lanes, into the leading lanes of the caller's ``work``; a lane
     that has stopped halving evaluates its same trial point again, to the
     same bits, so the last round holds every lane's scores and Hessian at
-    its kept trial.  Returns ``_newton``'s six values as arrays.
+    its kept trial.  Returns ``_newton``'s kept iterate and iterations as arrays.
     """
     data, m, rows = first, beta.size, _rows(work)
     with np.errstate(all="ignore"):
@@ -397,12 +398,7 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work):
                 beta, s2, value, beta_scale = beta[keep], s2[keep], value[keep], beta_scale[keep]
                 derivatives = tuple(v[keep] for v in derivatives)
                 rows = _rows(work[:, :lanes.size])
-    return _best(*best, iterations)
-
-
-def _best(beta, s2, scaled, r_beta, r_sigma, value, iterations):
-    """A driver's six values from its best iterate; the score norm is the larger score in size."""
-    return beta, s2, scaled, np.maximum(abs(r_beta), abs(r_sigma)), value, iterations
+    return (*best, iterations)
 
 
 def _exact(first, second):
@@ -413,8 +409,8 @@ def _exact(first, second):
     residuals are at rounding level, relative to the size of the responses in
     whatever unit they come; otherwise the variance really is driven to the
     boundary."""
-    beta = _start(first, second)[0]
     with np.errstate(all="ignore"):  # an overflowed slope fails the verdict
+        beta = first.sxy / first.sxx
         r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
         alpha, x0 = _alpha_x0(beta, first, second)
         # a zero slope also covers all-zero responses, which have no size
@@ -425,18 +421,14 @@ def _exact(first, second):
 
 
 def _start(first, second):
-    """Where the Newton iteration starts, for one dataset or a stack:
-    ``(beta0, beta_scale, s2_0, floor)``.  ``beta0`` is the first-stage
-    least-squares slope (also the slope of an exactly linear noiseless
-    dataset), ``beta_scale`` its size, ``s2_0`` the readings' variance, and
-    a fitted variance at or below ``floor``, 1e-12 of the data's variances,
-    counts as driven to the boundary."""
-    with np.errstate(all="ignore"):  # responses near the float limit overflow the squares
+    """Where the Newton iteration starts, for one dataset or a stack, as the
+    drivers take it: ``(beta0, s2_0, beta_scale)``.  ``beta0`` is the
+    first-stage least-squares slope, ``s2_0`` the readings' variance and
+    ``beta_scale`` the slope's size."""
+    with np.errstate(all="ignore"):  # the fit's verdict judges an overflowed slope
         beta0 = first.sxy / first.sxx
         beta_scale = np.where(beta0 != 0, abs(beta0), first.slope_threshold + 1.0)[()]
-        s2_0 = second.ss0 / second.k
-        floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)  # np.var(y)
-        return beta0, beta_scale, s2_0, floor
+        return beta0, second.ss0 / second.k, beta_scale
 
 
 def _hetero(first, second, work):
@@ -446,20 +438,24 @@ def _hetero(first, second, work):
     ``SCORE_TOL``, and its verdict, in the order it is judged.  A stack runs
     ``_newton_lanes`` in ``work``, one lane per dataset, one dataset
     ``_newton`` in ``work``, or ``_exact`` where its readings are identical;
-    the variance is read in the same ``work``."""
+    the variance is read in the same ``work``.  The score norm is the larger
+    of the kept iterate's two scores in size."""
     if first.y.ndim == 1 and second.ss0 <= 0.0:
         return _exact(first, second)
     newton = _newton_lanes if first.y.ndim > 1 else _newton
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
-        beta0, beta_scale, s2_0, floor = _start(first, second)
-        beta, s2, scaled, norm, loglik, iterations = newton(first, second, beta0, s2_0,
-                                                             beta_scale, work)
+        _, s2_0, _ = start = _start(first, second)
+        beta, s2, scaled, r_beta, r_sigma, loglik, iterations = newton(first, second, *start, work)
         alpha, x0 = _alpha_x0(beta, first, second)
         var, variance_verdict = _variance_x0(beta, x0, s2, first, second.k, work)
+        # a fitted variance at or below 1e-12 of the data's variances (s2_0
+        # and np.var(y)) is driven to the boundary
+        floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)
         # a driver stops at the first iterate whose variance is not representable
         verdict = (("overflow", ~_representable(s2)), ("boundary", s2 <= floor),
                    _slope_verdict(beta, first), *variance_verdict,
                    _finite_verdict(alpha, beta, x0, s2, var))
+        norm = np.maximum(abs(r_beta), abs(r_sigma))
     return (alpha, beta, x0, s2, var, scaled < SCORE_TOL, norm, loglik, iterations), verdict
 
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataStack, FirstStageData, SecondStageData, Theta, _slope_verdict, validate
+from .data import (DataStack, FirstStageData, SecondStageData, Theta, _require_count,
+                   _slope_verdict, validate)
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import _hetero, variance_x0, workspace
 from .usual import _half_width, _usual, variance_usual
@@ -33,15 +34,13 @@ LANE_MIN = 4
 
 def default_grid(n: int) -> np.ndarray:
     """Arithmetic grid of n controlled concentrations from 0 to 2 inclusive."""
-    if n < 2:
-        raise ValueError(f"grid needs n >= 2, got {n}")
+    _require_count("n", n, 2)
     return np.linspace(0.0, 2.0, n)
 
 
 def default_delta_vars(n: int) -> np.ndarray:
     """Preparation-error variances growing linearly to a maximum of 0.1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _require_count("n", n, 1)
     return np.linspace(0.1 / n, 0.1, n)
 
 
@@ -62,6 +61,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # the counts, before any array is built from them (``validate`` holds
+        # the design's own minimum of n and k; the replicate substreams are
+        # seeded with (seed, rep))
+        for name, least in (("n", 1), ("k", 1), ("n_reps", 1), ("seed", 0)):
+            _require_count(name, getattr(self, name), least)
         if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
             raise ValueError("x0, alpha and beta must be finite")
         # the noiseless responses, as in theoretical_variances; overflowed ones are
@@ -82,10 +86,6 @@ class ScenarioConfig:
                              "the grid: the concentration is undefined at zero slope")
         if not 0.0 <= self.sigma_eps2_true < math.inf:
             raise ValueError("sigma_eps2 must be nonnegative and finite")
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
-        if self.seed < 0:  # the replicate substreams are seeded with (seed, rep)
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.ci_level < 1.0:
             raise ValueError("ci_level must be in (0, 1)")
 

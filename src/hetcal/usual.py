@@ -14,8 +14,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
-                   _finite_verdict, _raise_first, _require_finite, _require_parameters,
-                   _require_slope, _slope_verdict, _sum, validate)
+                   _finite_verdict, _raise_first, _require_finite, _require_finite_values,
+                   _require_parameters, _require_slope, _slope_verdict, _sum, validate)
 from .errors import InvalidLevel
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
@@ -28,9 +28,12 @@ def _half_width(var_x0, level: float):
 
 
 def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
-    """Symmetric normal-theory interval for the unknown concentration."""
+    """Symmetric normal-theory interval for the unknown concentration;
+    ``x0_hat`` and ``var_x0`` must be finite (``NonFiniteValue``) and
+    ``var_x0`` nonnegative."""
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"confidence level must be in (0, 1), got {level}")
+    _require_finite_values(x0_hat=x0_hat, var_x0=var_x0)
     if var_x0 < 0:
         raise ValueError(f"var_x0 must be nonnegative, got {var_x0}")
     half = _half_width(var_x0, level)

@@ -61,6 +61,11 @@ def test_mismatched_lengths_rejected():
             FirstStageData(x_fixed=[0, 1, 2], y=y, delta_var=[0, 0, 0])
 
 
+def test_a_vector_that_is_not_one_dimensional_is_rejected():
+    with pytest.raises(ValueError, match="expected a 1-D vector, got shape \\(1, 3\\)"):
+        FirstStageData(x_fixed=[[0, 1, 2]], y=[1, 2, 3], delta_var=[0, 0, 0])
+
+
 def test_too_few_standards_rejected():
     # an empty container is built too, and rejected here
     for n in (2, 0):

@@ -158,6 +158,19 @@ def test_functions_of_theta_give_finite_values_or_a_typed_error(analytes):
             assert np.isfinite(value).all(), (name, theta, value)
 
 
+@pytest.mark.parametrize("function", [fisher_information, variance_x0, variance_usual])
+@pytest.mark.parametrize("k, match", [(2.5, "k must be an integer"), (2.0, "k must be an integer"),
+                                      (0, "k must be >= 1"), (np.int64(2), None)])
+def test_functions_of_theta_take_an_integer_count_of_readings(analytes, function, k, match):
+    first, _ = analytes["cadmium"]
+    theta = Theta(alpha=0.45, beta=10.5, x0=0.08, sigma_eps2=1e-4)
+    if match is None:  # numpy integers are counts too
+        assert np.array_equal(function(theta, first, k), function(theta, first, int(k)))
+    else:
+        with pytest.raises(ValueError, match=match):
+            function(theta, first, k)
+
+
 # ---------------------------------------------------- profile_alpha_x0
 
 
@@ -492,8 +505,8 @@ def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
 def test_distant_start_reaches_same_optimum(analytes):
     first, second = analytes["chromium"]
     base = fit_hetero(first, second)
-    beta, s2, scaled, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5,
-                                             workspace(first.n))
+    beta, s2, scaled, _, _, loglik, _ = _newton(first, second, 1.1e5, 5e4, 1.1e5,
+                                                workspace(first.n))
     assert scaled < SCORE_TOL
     assert rel_diff(beta, base.theta_hat.beta) < 1e-9
     assert rel_diff(s2, base.theta_hat.sigma_eps2) < 1e-7
@@ -522,7 +535,7 @@ def test_newton_evaluates_each_point_once(analytes, monkeypatch, name, start):
         iterations = fit_hetero(first, second).iterations
         assert iterations == 12
     else:
-        iterations = _newton(first, second, *start, workspace(first.n))[5]
+        iterations = _newton(first, second, *start, workspace(first.n))[-1]
     points, steps = events.count("point"), events.count("step")
     halvings = steps + 1 - iterations  # each iteration's last trial is not halved
     assert (events[0], events[-1], events.count("tiny")) == ("point", "tiny", 1)
@@ -551,9 +564,8 @@ def test_lanes_evaluate_once_per_line_search_round(monkeypatch):
 
     monkeypatch.setattr(hetero, "_evaluate", lambda *a: events.append("point") or evaluate(*a))
     monkeypatch.setattr(hetero, "_trial", counted_trial)
-    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
-    iterations = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale,
-                                      workspace(6, data.n))[5]
+    iterations = hetero._newton_lanes(data, data, *hetero._start(data, data),
+                                      workspace(6, data.n))[-1]
     assert events[0] == "point" and events.count("round") > iterations.max() > iterations.min()
     assert events[1:] == ["round", "point"] * events.count("round")
 
@@ -562,12 +574,12 @@ def test_newton_in_a_caller_workspace_allocates_no_vector():
     tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(5)
     first, second, _ = make_model_dataset(rng, n=5000, k=500)
-    beta0, beta_scale, s2_0, _ = hetero._start(first, second)
+    start = hetero._start(first, second)
     work = workspace(first.n)
-    _newton(first, second, beta0, s2_0, beta_scale, work)  # warm every code path
+    _newton(first, second, *start, work)  # warm every code path
     tracemalloc.start()
     try:
-        beta, s2, scaled, *_ = _newton(first, second, beta0, s2_0, beta_scale, work)
+        beta, s2, scaled, *_ = _newton(first, second, *start, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -676,14 +688,14 @@ def test_lanes_stop_a_stalled_run_where_newton_does():
     rng = np.random.default_rng(2)
     data = DataStack(x, np.array(dv), np.vstack([y, y + 0.2 * rng.standard_normal((3, 4))]),
                      np.vstack([y0, y0 + 0.2 * rng.standard_normal((3, 2))]))
-    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
+    beta0, s2_0, beta_scale = hetero._start(data, data)
     lanes = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale, workspace(4, data.n))
     for i in range(4):
         one = data.take(i)
         alone = _newton(one, one, beta0[i], s2_0[i], beta_scale[i], workspace(data.n))
         assert [np.float64(v).tobytes() for v in alone] == [np.float64(v[i]).tobytes()
                                                             for v in lanes]
-    assert lanes[5][0] == best_at + hetero.STALL_STEPS < lanes[5].max()
+    assert lanes[-1][0] == best_at + hetero.STALL_STEPS < lanes[-1].max()
 
 
 def test_iteration_cap_reports_nonconvergence(analytes, monkeypatch):

@@ -28,7 +28,7 @@ from hetcal import (
 )
 from hetcal.cli import main
 from hetcal.fixtures import fixture_bytes, load_analyte
-from hetcal.io import write_first_stage, write_second_stage
+from hetcal.io import render_text, write_first_stage, write_second_stage
 
 from conftest import rel_diff
 
@@ -312,6 +312,16 @@ def test_a_byte_order_mark_at_the_start_of_a_file_is_ignored():
     # only the mark is dropped: a second one is part of the first column's name
     with pytest.raises(ParseError, match="header is missing columns \\['X'\\]"):
         parse_first_stage(BOM + BOM + fixture_bytes("cadmium_standards.csv"))
+
+
+@pytest.mark.parametrize("parse", [parse_first_stage, parse_second_stage, parse_scenarios])
+def test_a_file_that_is_not_utf8_is_a_parse_error(parse):
+    with pytest.raises(ParseError, match="input is not valid UTF-8"):
+        parse(b"X,u,Y\n0,0,\xff\n")
+
+
+def test_render_text_of_no_fits():
+    assert render_text([]) == "no fits\n"
 
 
 # ----------------------------------------------------------------- CLI

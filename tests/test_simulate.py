@@ -128,6 +128,36 @@ def test_config_validation():
         with pytest.raises(ValueError):
             make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
     make_scenario(n=5, k=2, x0=0.5, sigma_eps2=0.0)  # noiseless stays valid
+    # a grid of distinct concentrations that does not have n of them
+    with pytest.raises(ValueError, match="x_grid has 4 entries, n is 5"):
+        make_scenario(n=5, k=2, x0=0.5, x_grid=default_grid(4), delta_vars=default_delta_vars(4))
+
+
+@pytest.mark.parametrize("build, match", [
+    pytest.param(lambda: make_scenario(5, 2, 0.8, seed=1.5), "seed must be an integer, got 1.5",
+                 id="seed=1.5"),
+    pytest.param(lambda: make_scenario(5, 2, 0.8, n_reps=2.5), "n_reps must be an integer",
+                 id="n_reps=2.5"),
+    pytest.param(lambda: make_scenario(5, 2.5, 0.8), "k must be an integer", id="k=2.5"),
+    pytest.param(lambda: make_scenario(5.0, 2, 0.8), "n must be an integer", id="n=5.0"),
+    pytest.param(lambda: make_scenario(5.0, 2, 0.8, x_grid=default_grid(5),
+                                       delta_vars=default_delta_vars(5)),
+                 "n must be an integer", id="n=5.0-own-grid"),
+    pytest.param(lambda: make_scenario(5, 0, 0.8), "k must be >= 1", id="k=0"),
+    pytest.param(lambda: default_grid(2.0), "n must be an integer", id="grid-n=2.0"),
+    pytest.param(lambda: default_grid(1), "n must be >= 2", id="grid-n=1"),
+    pytest.param(lambda: default_delta_vars(2.5), "n must be an integer", id="delta-vars-n=2.5"),
+    pytest.param(lambda: default_delta_vars(0), "n must be >= 1, got 0", id="delta-vars-n=0"),
+])
+def test_counts_must_be_integers(build, match):
+    # seed=1.5 ran as seed 1; the other non-integers failed inside numpy
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_numpy_integer_counts_are_counts():
+    cfg = make_scenario(np.int64(5), np.int32(2), 0.8, n_reps=np.int64(3), seed=np.uint8(1))
+    assert (cfg.n, cfg.k, cfg.n_reps, cfg.seed) == (5, 2, 3, 1)
 
 
 def test_noiseless_scenario_recovers_exactly():
@@ -429,13 +459,11 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
     _assert_same_bits(np.array([simulate._fit(data.take(i), 0.95, work[:, 0])
                                 for i in range(len(y))]), own)
     assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
-    # the two Newton drivers return the same six values, failed lanes too
-    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
-    driven = hetero._newton_lanes(data, data, beta0, s2_0, beta_scale, work)
+    # the two Newton drivers return the same kept iterate, failed lanes too
+    driven = hetero._newton_lanes(data, data, *hetero._start(data, data), work)
     for i in range(len(y)):
         first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
-        start = hetero._start(first, second)
-        one = hetero._newton(first, second, start[0], start[2], start[1], work[:, 0])
+        one = hetero._newton(first, second, *hetero._start(first, second), work[:, 0])
         assert [np.float64(v).tobytes() for v in one] == [np.float64(v[i]).tobytes()
                                                           for v in driven]
     for i in bad:
@@ -454,13 +482,13 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
 def test_lanes_that_halve_and_lanes_that_do_not_share_a_line_search():
     # distant starts make some lanes halve their first trial while the others
     # keep it and evaluate it again in the same round; each lane still
-    # returns _newton's six values on its own dataset from its own start
+    # returns _newton's kept iterate on its own dataset from its own start
     x, dv, m = default_grid(5), default_delta_vars(5), 12
     rng = np.random.default_rng(3)
     y = 0.1 + 2.0 * (x - rng.standard_normal((m, 5)) * np.sqrt(dv)) + 0.2 * rng.standard_normal(
         (m, 5))
     data = DataStack(x, dv, y, 1.7 + 0.2 * rng.standard_normal((m, 2)))
-    beta0, beta_scale, s2_0, _ = hetero._start(data, data)
+    beta0, s2_0, beta_scale = hetero._start(data, data)
     far = np.arange(m) % 3 == 0
     beta0, s2_0 = np.where(far, 50.0 * beta0, beta0), np.where(far, 1e4 * s2_0, s2_0)
     rounds = []  # each line search's trial lengths, one array per trial

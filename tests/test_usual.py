@@ -104,6 +104,20 @@ def test_confidence_interval_rejects_bad_level():
             confidence_interval(0.0, 1.0, level)
 
 
+@pytest.mark.parametrize("x0_hat, var_x0, error, match", [
+    (1.0, math.nan, NonFiniteValue, "var_x0"),
+    (math.inf, 1.0, NonFiniteValue, "x0_hat"),
+    (math.nan, 1.0, NonFiniteValue, "x0_hat"),
+    (1.0, math.inf, NonFiniteValue, "var_x0"),
+    (1.0, -1.0, ValueError, "var_x0 must be nonnegative"),
+])
+def test_confidence_interval_rejects_a_non_finite_or_negative_input(x0_hat, var_x0, error,
+                                                                    match):
+    # unchecked, these gave (nan, nan), (inf, inf) and (-inf, inf)
+    with pytest.raises(error, match=match):
+        confidence_interval(x0_hat, var_x0)
+
+
 def test_expanded_uncertainty_uses_fixed_factor(analytes):
     res = fit_usual(*analytes["chromium"])
     assert res.expanded_uncertainty == 1.96 * math.sqrt(res.var_x0)
