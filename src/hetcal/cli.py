@@ -71,16 +71,11 @@ def _read(path) -> bytes:
 def cmd_fit(args) -> int:
     fitters = {"usual": fit_usual, "proposed": fit_hetero}
     models = list(fitters) if args.model == "both" else [args.model]
-    try:
-        standards_bytes = _read(args.standards)
-        sample_bytes = _read(args.sample)
-        first = hio.parse_first_stage(standards_bytes)
-        second = hio.parse_second_stage(sample_bytes)
-        fits = [fitters[model](first, second, level=args.level) for model in models]
-    except (OSError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    standards_bytes = _read(args.standards)
+    sample_bytes = _read(args.sample)
+    first = hio.parse_first_stage(standards_bytes)
+    second = hio.parse_second_stage(sample_bytes)
+    fits = [fitters[model](first, second, level=args.level) for model in models]
     label = args.label or Path(args.standards).stem
     digest = hio.input_digest(standards_bytes, sample_bytes)
     reports = [hio.FitReport(model=model, analyte_label=label, fit=fit, input_digest=digest)
@@ -92,25 +87,23 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        rows = []
-        for cfg in hio.parse_scenarios(_read(args.scenarios)):
-            try:
-                rows.append(hio.summary_row(cfg, run_scenario(cfg)))
-            except AllReplicatesFailed as exc:
-                print(f"warning: {exc}; scenario skipped", file=sys.stderr)
-        Path(args.out).write_text(hio.format_summary_csv(rows))
-    except (OSError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    rows = []
+    for cfg in hio.parse_scenarios(_read(args.scenarios)):
+        try:
+            rows.append(hio.summary_row(cfg, run_scenario(cfg)))
+        except AllReplicatesFailed as exc:
+            print(f"warning: {exc}; scenario skipped", file=sys.stderr)
+    Path(args.out).write_text(hio.format_summary_csv(rows))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
-    if args.command == "fit":
-        return cmd_fit(args)
-    return cmd_simulate(args)
+    try:
+        return cmd_fit(args) if args.command == "fit" else cmd_simulate(args)
+    except (OSError, CalibrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -13,9 +13,10 @@ intercept and the unknown concentration at their fitted slope from
 per row, for the simulator's replicates; it is summarised by the same
 functions, which reduce over the last axis.  ``_FAILURES`` holds why a fit
 can fail: one dataset raises the first failed reason of its verdict, a lane
-fails on any.  ``_require_parameters`` is the one check of the parameters
-that the public functions of theta take, and ``_require_finite`` the one
-check of what they give.
+fails on any.  The input rules live here once, for the functions of theta,
+the estimators and ``ScenarioConfig``: ``_require_parameters`` (finite
+values, the variance's sign), ``_require_count``, ``_require_level``,
+``_require_slope``, and ``_require_finite`` for what a function gives.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDesign,
+    InvalidLevel,
     MismatchedLengths,
     NegativeVariance,
     NonFiniteValue,
@@ -286,7 +288,6 @@ _FAILURES = {
                                       "design"),
     "finite": (NonFiniteValue, "the fit is not representable in floating point: {theta}, "
                                "var_x0 = {var_x0}"),
-    "value": (NonFiniteValue, "{function} is not representable in floating point at {at}"),
 }
 
 
@@ -316,15 +317,16 @@ def _require_slope(beta, first):
 def _require_finite(function: str, value, **at):
     """``value``, what the public function ``function`` gives at the
     parameters ``at``; raises ``NonFiniteValue`` where it is not all finite."""
-    _raise_first((("value", ~np.isfinite(value).all()),), function=function,
-                 at=", ".join(f"{name} = {v}" for name, v in at.items()))
+    if not np.isfinite(value).all():
+        at = ", ".join(f"{name} = {v}" for name, v in at.items())
+        raise NonFiniteValue(f"{function} is not representable in floating point at {at}")
     return value
 
 
 def _require_count(name: str, value, least: int):
     """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
-    (a numpy one too) of at least ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    (a numpy one too, but not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -335,6 +337,12 @@ def _require_finite_values(**values):
     for name, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteValue(f"{name} must be finite, got {value}")
+
+
+def _require_level(level: float):
+    """Raise ``InvalidLevel`` unless the confidence ``level`` is in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise InvalidLevel(f"confidence level must be in (0, 1), got {level}")
 
 
 def _require_parameters(k: int = 1, zero_variance: bool = False, **theta):
@@ -361,7 +369,9 @@ def profile_alpha_x0(beta: float, first: FirstStageData, second: SecondStageData
     """
     _require_parameters(beta=beta)
     _require_slope(beta, first)
-    return _alpha_x0(beta, first, second)
+    with np.errstate(all="ignore"):
+        fit = _alpha_x0(beta, first, second)
+    return _require_finite("profile_alpha_x0", fit, beta=beta)
 
 
 def _alpha_x0(beta, first, second):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
 from .data import (DataStack, FirstStageData, SecondStageData, Theta, _require_count,
-                   _slope_verdict, validate)
+                   _require_level, _require_parameters, _require_slope, validate)
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import _hetero, variance_x0, workspace
 from .usual import _half_width, _usual, variance_usual
@@ -66,28 +67,23 @@ class ScenarioConfig:
         # seeded with (seed, rep))
         for name, least in (("n", 1), ("k", 1), ("n_reps", 1), ("seed", 0)):
             _require_count(name, getattr(self, name), least)
-        if not all(map(math.isfinite, (self.x0_true, self.alpha_true, self.beta_true))):
-            raise ValueError("x0, alpha and beta must be finite")
         # the noiseless responses, as in theoretical_variances; overflowed ones are
         # capped, and such a scenario's draws fail replicate by replicate
         with np.errstate(over="ignore", invalid="ignore"):
             y = np.nan_to_num(self.alpha_true + self.beta_true * np.asarray(self.x_grid, float))
-        try:  # the data containers and ``validate`` hold the design checks
+        try:  # the package's own rules, for the parameters, the level and the design
+            _require_parameters(zero_variance=True, x0=self.x0_true, alpha=self.alpha_true,
+                                beta=self.beta_true, sigma_eps2=self.sigma_eps2_true)
+            _require_level(self.ci_level)
             first, _ = validate(FirstStageData(self.x_grid, y, self.delta_var_rule),
                                 SecondStageData(np.zeros(self.k)))
+            _require_slope(self.beta_true, first)
         except CalibrationError as exc:
-            raise ValueError(f"scenario design: {exc}") from exc
+            raise ValueError(f"scenario: {exc}") from exc
         if first.n != self.n:
-            raise ValueError(f"scenario design: x_grid has {first.n} entries, n is {self.n}")
+            raise ValueError(f"scenario: x_grid has {first.n} entries, n is {self.n}")
         object.__setattr__(self, "x_grid", first.x_fixed)
         object.__setattr__(self, "delta_var_rule", first.delta_var)
-        if _slope_verdict(self.beta_true, first)[1]:
-            raise ValueError(f"beta = {self.beta_true} is numerically zero against alpha on "
-                             "the grid: the concentration is undefined at zero slope")
-        if not 0.0 <= self.sigma_eps2_true < math.inf:
-            raise ValueError("sigma_eps2 must be nonnegative and finite")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError("ci_level must be in (0, 1)")
 
 
 def make_scenario(
@@ -120,8 +116,9 @@ def make_scenario(
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent substream for one replicate, a pure function of (seed, rep)."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(rep))))
+    """Independent substream for one replicate, a pure function of the
+    integers (seed, rep); anything else is a ``TypeError``."""
+    return np.random.default_rng(np.random.SeedSequence((index(seed), index(rep))))
 
 
 def _responses(cfg: ScenarioConfig, z: np.ndarray):

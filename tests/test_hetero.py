@@ -133,29 +133,33 @@ def test_loglik_rejects_an_infinite_slope():
 def test_functions_of_theta_give_finite_values_or_a_typed_error(analytes):
     # on finite parameters from below the smallest normal float to near the
     # largest, each public function of theta returns finite values or raises
-    # a CalibrationError: no NaN or inf, no warning, no untyped error
-    first, second = analytes["cadmium"]
-    functions = {
-        "gamma": lambda t: gamma(t.beta, t.sigma_eps2, first),
-        "log_likelihood": lambda t: log_likelihood(t, first, second),
-        "score_residuals": lambda t: score_residuals(t, first, second),
-        "fisher_information": lambda t: fisher_information(t, first, 2),
-        "variance_x0": lambda t: variance_x0(t, first, 2),
-        "variance_usual": lambda t: variance_usual(t, first, 2),
-        "profile_alpha_x0": lambda t: profile_alpha_x0(t.beta, first, second),
-    }
-    betas = (0.0, 1.0, -1.0, 1e-320, 1e-160, 1e160, 1e300, -1e300)
+    # a CalibrationError: no NaN or inf, no warning, no untyped error.
+    # Cadmium's mean concentration is below 1; on the second design, whose
+    # mean is 1.5, beta * xbar overflows at the largest slopes
+    designs = (analytes["cadmium"], (FirstStageData([0, 1, 2, 3], [1, 2, 3, 4.5], [0.01] * 4),
+                                     SecondStageData([2, 2.1])))
+    betas = (0.0, 1.0, -1.0, 1e-320, 1e-160, 1e160, 1e300, -1e300, 1.5e308, -1.5e308)
     variances = (1e-320, 1e-160, 1e-30, 1.0, 1e30, 1e160, 1e300)
-    for alpha, x0, beta, s2 in itertools.product((0.0, 1e300), (0.0, 1e300), betas, variances):
-        theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
-        for name, function in functions.items():
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    value = function(theta)
-                except CalibrationError:
-                    continue
-            assert np.isfinite(value).all(), (name, theta, value)
+    for first, second in designs:
+        functions = {
+            "gamma": lambda t: gamma(t.beta, t.sigma_eps2, first),
+            "log_likelihood": lambda t: log_likelihood(t, first, second),
+            "score_residuals": lambda t: score_residuals(t, first, second),
+            "fisher_information": lambda t: fisher_information(t, first, 2),
+            "variance_x0": lambda t: variance_x0(t, first, 2),
+            "variance_usual": lambda t: variance_usual(t, first, 2),
+            "profile_alpha_x0": lambda t: profile_alpha_x0(t.beta, first, second),
+        }
+        for alpha, x0, beta, s2 in itertools.product((0.0, 1e300), (0.0, 1e300), betas, variances):
+            theta = Theta(alpha=alpha, beta=beta, x0=x0, sigma_eps2=s2)
+            for name, function in functions.items():
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        value = function(theta)
+                    except CalibrationError:
+                        continue
+                assert np.isfinite(value).all(), (first.n, name, theta, value)
 
 
 @pytest.mark.parametrize("function", [fisher_information, variance_x0, variance_usual])
@@ -546,6 +550,7 @@ def test_newton_evaluates_each_point_once(analytes, monkeypatch, name, start):
         assert halvings > 0
 
 
+@pytest.mark.bitwise
 def test_lanes_evaluate_once_per_line_search_round(monkeypatch):
     # _newton_lanes evaluates the running lanes once at the start and once
     # per round of its line search, and carries the kept trial's scores and
@@ -570,6 +575,7 @@ def test_lanes_evaluate_once_per_line_search_round(monkeypatch):
     assert events[1:] == ["round", "point"] * events.count("round")
 
 
+@pytest.mark.bitwise
 def test_newton_in_a_caller_workspace_allocates_no_vector():
     tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(5)
@@ -594,6 +600,7 @@ REDUCE_LENGTHS = [1, 2, 7, 8, 9, 127, 128, 129, 5000]
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from(REDUCE_LENGTHS), rows=st.integers(1, hetero._ROWS),
        m=st.integers(1, 5), spare=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.bitwise
 def test_a_row_sums_to_the_same_bits_in_a_block_of_rows(n, rows, m, spare, seed):
     # the kernels sum all their terms in one reduction over rows of the
     # workspace, and the lanes sum in a view of its leading lanes: each row
@@ -616,6 +623,7 @@ def test_a_row_sums_to_the_same_bits_in_a_block_of_rows(n, rows, m, spare, seed)
 
 @pytest.mark.parametrize("shape", [(n,) for n in REDUCE_LENGTHS] + [(3, 5), (81, 100),
                                                                      (1, 5000)])
+@pytest.mark.bitwise
 def test_a_workspace_starts_on_a_page(shape):
     work = workspace(*shape)
     assert work.shape == (hetero._ROWS, *shape) and work.flags.c_contiguous
@@ -682,6 +690,7 @@ def test_a_run_that_stopped_improving_ends_with_the_same_fit(x, delta_var, y, y0
     assert res.iterations == best_at + hetero.STALL_STEPS
 
 
+@pytest.mark.bitwise
 def test_lanes_stop_a_stalled_run_where_newton_does():
     # the 82-step run stops while a lane of the stack runs on
     x, dv, y, y0, best_at, _ = STALLED[1]

@@ -540,20 +540,48 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     capsys.readouterr()
     # scenarios that cannot give a fittable dataset are input errors too
     header = "n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n"
-    for row in ("5,2,0.8,0.1,2.0,-0.04,10,1", "5,2,0.8,0.1,2.0,nan,10,1",
-                "5,2,nan,0.1,2.0,0.04,10,1", "5,1,0.8,0.1,2.0,0.04,10,1",
-                "2,2,0.8,0.1,2.0,0.04,10,1", "5,2,0.8,0.1,0,0.04,10,1",
-                "5,2,0.8,0.1,1e-20,0.04,10,1", "5,2,0.8,0.1,2.0,0.04,10,-1"):
+    # each row, and the field its message names
+    for row, field in (("5,2,0.8,0.1,2.0,-0.04,10,1", "sigma_eps2 must be nonnegative"),
+                       ("5,2,0.8,0.1,2.0,nan,10,1", "sigma_eps2 must be finite"),
+                       ("5,2,nan,0.1,2.0,0.04,10,1", "x0 must be finite"),
+                       ("5,1,0.8,0.1,2.0,0.04,10,1", "2 sample readings, got 1"),
+                       ("2,2,0.8,0.1,2.0,0.04,10,1", "3 standards, got 2"),
+                       ("5,2,0.8,0.1,0,0.04,10,1", "slope 0.0 is numerically zero"),
+                       ("5,2,0.8,0.1,1e-20,0.04,10,1", "slope 1e-20 is numerically zero"),
+                       ("5,2,0.8,0.1,2.0,0.04,10,-1", "seed must be >= 0")):
         # rejected with the file, before the valid first row runs
         scen.write_text(header + "5,2,0.8,0.1,2.0,0.04,10,1\n" + row + "\n")
         out = tmp_path / "o.csv"
         assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1, row
-        assert capsys.readouterr().err.startswith("error: scenario file: row 3: "), row
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario file: row 3: ") and field in err, (row, err)
         assert not out.exists()
     scen.write_text(header.strip() + ",x_grid\n5,2,0.8,0.1,2.0,0.04,10,1,1;1;1;1;1\n")
     assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 1
+    assert "all standard concentrations are identical" in capsys.readouterr().err
     assert not out.exists()
-    capsys.readouterr()
+
+
+def test_cli_simulate_output_directory_exit_1(tmp_path, capsys):
+    # an --out that cannot be written is reported by main's one handler
+    scen = tmp_path / "s.csv"
+    scen.write_text("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed\n5,2,0.8,0.1,2.0,0.04,10,1\n")
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Is a directory" in err
+
+
+def test_cli_fit_unwritable_stdout_exit_1(tmp_path, capsys, monkeypatch):
+    # a report that cannot be written is an input error too, not a traceback
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError("stdout is closed")
+
+    std, samp = fixture_paths(tmp_path)
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    assert main(["fit", "--standards", std, "--sample", samp]) == 1
+    assert capsys.readouterr().err == "error: stdout is closed\n"
 
 
 def test_cli_simulate_reads_padded_header_and_blank_lines(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -108,29 +109,52 @@ def test_generate_moments_of_preparation_error():
 # --------------------------------------------------------- scenarios
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def rejected(match, **kwargs):
+    """A scenario of (5, 2, x0 0.5) with ``kwargs``, and what its error says."""
+    return pytest.param(kwargs, match, id=",".join(f"{k}={v}" for k, v in kwargs.items()))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    rejected("first-stage vectors have lengths 4, 4, 5", x_grid=np.zeros(4)),
+    rejected("n_reps must be >= 1, got 0", n_reps=0),
+    rejected("confidence level must be in (0, 1), got 1.0", ci_level=1.0),
+    rejected("confidence level must be in (0, 1), got nan", ci_level=NAN),
+    rejected("sigma_eps2 must be nonnegative, got -0.04", sigma_eps2=-0.04),
+    rejected("sigma_eps2 must be finite, got nan", sigma_eps2=NAN),
+    rejected("sigma_eps2 must be finite, got inf", sigma_eps2=INF),
+    rejected("x0 must be finite, got nan", x0=NAN),
+    rejected("x0 must be finite, got inf", x0=INF),
+    rejected("alpha must be finite, got nan", alpha=NAN),
+    rejected("beta must be finite, got -inf", beta=-INF),
+    rejected("need at least 2 sample readings, got 1", k=1),
+    rejected("need at least 3 standards, got 2", n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
+    rejected("delta_var[1] = -0.1 is not", delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
+    rejected("delta_var[1] = nan is not", delta_vars=[0.1, NAN, 0.1, 0.1, 0.1]),
+    rejected("x_fixed[2] = inf is not", x_grid=[0.0, 0.5, INF, 1.5, 2.0]),
+    rejected("all standard concentrations are identical", x_grid=[1.0] * 5),
+    rejected("slope 0.0 is numerically zero", beta=0.0),
+    rejected("slope -0.0 is numerically zero", beta=-0.0),
+    rejected("slope 1e-20 is numerically zero", alpha=0.1, beta=1e-20),
+    rejected("seed must be >= 0, got -1", seed=-1),
+    pytest.param(dict(x_grid=default_grid(4), delta_vars=default_delta_vars(4)),
+                 "x_grid has 4 entries, n is 5", id="x_grid=default_grid(4)"),
+])
+def test_a_rejected_scenario_names_its_field(kwargs, match):
+    # scenarios that cannot produce a fittable dataset, each rejected by the
+    # package's own rule for its field
+    with pytest.raises(ValueError, match=re.escape(match)):
+        make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        make_scenario(n=5, k=2, x0=0.5, x_grid=np.zeros(4))
-    with pytest.raises(ValueError):
-        make_scenario(n=5, k=2, x0=0.5, n_reps=0)
-    with pytest.raises(ValueError):
-        make_scenario(n=5, k=2, x0=0.5, ci_level=1.0)
-    # scenarios that cannot produce a fittable dataset
-    nan, inf = float("nan"), float("inf")
-    bad = [dict(sigma_eps2=-0.04), dict(sigma_eps2=nan), dict(sigma_eps2=inf),
-           dict(x0=nan), dict(x0=inf), dict(alpha=nan), dict(beta=-inf), dict(k=1),
-           dict(n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
-           dict(delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
-           dict(delta_vars=[0.1, nan, 0.1, 0.1, 0.1]),
-           dict(x_grid=[0.0, 0.5, inf, 1.5, 2.0]), dict(x_grid=[1.0] * 5),
-           dict(beta=0.0), dict(beta=-0.0), dict(alpha=0.1, beta=1e-20), dict(seed=-1)]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
-            make_scenario(**{**dict(n=5, k=2, x0=0.5), **kwargs})
     make_scenario(n=5, k=2, x0=0.5, sigma_eps2=0.0)  # noiseless stays valid
-    # a grid of distinct concentrations that does not have n of them
-    with pytest.raises(ValueError, match="x_grid has 4 entries, n is 5"):
-        make_scenario(n=5, k=2, x0=0.5, x_grid=default_grid(4), delta_vars=default_delta_vars(4))
+    # a rejected parameter is reported as the scenario's, with the package's error as cause
+    with pytest.raises(ValueError, match="^scenario: sigma_eps2 must be nonnegative") as info:
+        make_scenario(n=5, k=2, x0=0.5, sigma_eps2=-0.04)
+    assert isinstance(info.value.__cause__, NonPositiveVariance)
 
 
 @pytest.mark.parametrize("build, match", [
@@ -144,6 +168,11 @@ def test_config_validation():
                                        delta_vars=default_delta_vars(5)),
                  "n must be an integer", id="n=5.0-own-grid"),
     pytest.param(lambda: make_scenario(5, 0, 0.8), "k must be >= 1", id="k=0"),
+    # a bool is an int to Python: n_reps=True failed inside numpy, seed=True ran as seed 1
+    pytest.param(lambda: make_scenario(5, 2, 0.8, n_reps=True), "n_reps must be an integer, "
+                 "got True", id="n_reps=True"),
+    pytest.param(lambda: make_scenario(5, 2, 0.8, seed=True), "seed must be an integer, got True",
+                 id="seed=True"),
     pytest.param(lambda: default_grid(2.0), "n must be an integer", id="grid-n=2.0"),
     pytest.param(lambda: default_grid(1), "n must be >= 2", id="grid-n=1"),
     pytest.param(lambda: default_delta_vars(2.5), "n must be an integer", id="delta-vars-n=2.5"),
@@ -153,6 +182,17 @@ def test_counts_must_be_integers(build, match):
     # seed=1.5 ran as seed 1; the other non-integers failed inside numpy
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def test_replicate_rng_takes_integers_only():
+    # int(seed) ran a float seed as its truncation
+    draws = replicate_rng(1, 0).standard_normal(3)
+    assert np.array_equal(replicate_rng(np.int64(1), np.uint8(0)).standard_normal(3), draws)
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            replicate_rng(seed, 0)
+    with pytest.raises(TypeError):
+        replicate_rng(1, 0.0)
 
 
 def test_numpy_integer_counts_are_counts():
@@ -218,6 +258,7 @@ def test_failures_are_counted_and_excluded():
 
 @pytest.mark.parametrize("n, k, n_reps, lanes", [(5, 2, 60, True), (20, 20, 60, True),
                                                  (100, 2, 60, True), (5000, 20, 8, False)])
+@pytest.mark.bitwise
 def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes):
     # the table reads every replicate's half-width and coverage from the
     # interval its fits report, not from a second derivation of it; fitted
@@ -290,6 +331,7 @@ def _assert_same_table(a: ReplicateTable, b: ReplicateTable):
 
 
 @pytest.mark.parametrize("max_iterations", [hetero.MAX_ITERATIONS, 3])
+@pytest.mark.bitwise
 def test_chunked_lanes_give_the_table_of_one_chunk(monkeypatch, max_iterations):
     # with at most 3 Newton steps some replicates fail unconverged, in
     # whichever chunk they fall
@@ -304,6 +346,7 @@ def test_chunked_lanes_give_the_table_of_one_chunk(monkeypatch, max_iterations):
     assert whole.failed.any() == (max_iterations == 3)
 
 
+@pytest.mark.bitwise
 def test_a_scenario_makes_one_workspace():
     # chunks of 81, 81 and 3 replicates: the lanes of the first two and the
     # replicates of the last, fitted alone, all run in the scenario's workspace.
@@ -375,6 +418,7 @@ def _assert_same_bits(a, b):
 @settings(max_examples=100, deadline=None)
 @given(stack=design_stacks(), max_iterations=st.sampled_from([hetero.MAX_ITERATIONS, 1, 2, 4]),
        order_seed=st.integers(0, 2**32 - 1))
+@pytest.mark.bitwise
 def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_seed):
     # each dataset's (x0, var_x0, ci) of both fits, and whether it fails, are
     # what fit_usual and fit_hetero report on it, bit for bit: fitted alone
@@ -437,6 +481,7 @@ def _failing_datasets(reason, cadmium):
     ("singular", None, SingularInformation),
     ("finite", NonFiniteValue, NonFiniteValue),
 ])
+@pytest.mark.bitwise
 def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
                                                   proposed_error):
     # a dataset failing for any reason is NaN, as a lane and fitted alone,
@@ -479,6 +524,7 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
                 fit_usual(first, second)
 
 
+@pytest.mark.bitwise
 def test_lanes_that_halve_and_lanes_that_do_not_share_a_line_search():
     # distant starts make some lanes halve their first trial while the others
     # keep it and evaluate it again in the same round; each lane still
