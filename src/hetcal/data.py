@@ -15,14 +15,15 @@ functions, which reduce over the last axis.  ``_FAILURES`` holds why a fit
 can fail: one dataset raises the first failed reason of its verdict, a lane
 fails on any.  The input rules live here once, for the functions of theta,
 the estimators and ``ScenarioConfig``: ``_require_parameters`` (finite
-values, the variance's sign), ``_require_count``, ``_require_level``,
-``_require_slope``, and ``_require_finite`` for what a function gives.
+values, the variance's sign), ``_require_count``, ``_require_entries``,
+``_quantile`` (of a level), ``_require_slope`` and ``_require_finite``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -59,6 +60,17 @@ def _require(ok: np.ndarray, name: str, vec: np.ndarray, error: type, what: str)
     if not ok.all():
         bad = int(ok.argmin())
         raise error(f"{name}[{bad}] = {vec[bad]} is not a {what}")
+
+
+def _require_entries(x, y, dv, names=("x_fixed", "y", "delta_var")):
+    """The first stage's rule for its entries, in one check of every entry:
+    ``dv`` nonnegative and finite, ``x`` and ``y`` finite; the error names
+    the first bad entry of the first bad vector by its name in ``names``."""
+    dv_ok = (dv >= 0) & (dv < np.inf)
+    if not (dv_ok & np.isfinite(x) & np.isfinite(y)).all():
+        _require(dv_ok, names[2], dv, NegativeVariance, "nonnegative finite number")
+        _require(np.isfinite(x), names[0], x, NonFiniteValue, "finite number")
+        _require(np.isfinite(y), names[1], y, NonFiniteValue, "finite number")
 
 
 def _sum(v):
@@ -136,12 +148,7 @@ class FirstStageData:
         if y.size != x.size or dv.size != x.size:
             raise MismatchedLengths(f"first-stage vectors have lengths {x.size}, {y.size}, "
                                     f"{dv.size}; they must match")
-        # one check of every entry; the checks of each vector name the first bad one
-        dv_ok = (dv >= 0) & (dv < np.inf)
-        if not (dv_ok & np.isfinite(x) & np.isfinite(y)).all():
-            _require(dv_ok, "delta_var", dv, NegativeVariance, "nonnegative finite number")
-            _require(np.isfinite(x), "x_fixed", x, NonFiniteValue, "finite number")
-            _require(np.isfinite(y), "y", y, NonFiniteValue, "finite number")
+        _require_entries(x, y, dv)
         xbar, ybar, xc, yc, sxx, sxy, threshold = _first_summaries(x, y)
         xc.flags.writeable = yc.flags.writeable = False
         # the sums stay numpy floats, whose division by zero gives inf, not an error
@@ -258,14 +265,17 @@ class FitResult:
     score_residual_norm: float
 
 
+_LEAST_N, _LEAST_K = 3, 2  # the fewest standards and sample readings a fit needs
+
+
 def validate(first: FirstStageData, second: SecondStageData):
     """Check what a fit needs beyond the containers' own checks: n >= 3,
     k >= 2 and distinct concentrations.  Returns the pair unchanged or raises
     a typed error naming the first violated condition."""
-    if first.n < 3:
-        raise TooFewStandards(f"need at least 3 standards, got {first.n}")
-    if second.k < 2:
-        raise TooFewReplicates(f"need at least 2 sample readings, got {second.k}")
+    if first.n < _LEAST_N:
+        raise TooFewStandards(f"need at least {_LEAST_N} standards, got {first.n}")
+    if second.k < _LEAST_K:
+        raise TooFewReplicates(f"need at least {_LEAST_K} sample readings, got {second.k}")
     # compared, not subtracted: the spread of a design wider than the float range overflows
     if np.maximum.reduce(first.x_fixed) == np.minimum.reduce(first.x_fixed):
         raise DegenerateDesign("all standard concentrations are identical")
@@ -339,10 +349,16 @@ def _require_finite_values(**values):
             raise NonFiniteValue(f"{name} must be finite, got {value}")
 
 
-def _require_level(level: float):
-    """Raise ``InvalidLevel`` unless the confidence ``level`` is in (0, 1)."""
+def _quantile(level: float) -> float:
+    """The normal quantile of the interval at confidence ``level``, whose
+    half-width is ``quantile * sqrt(var_x0)``; ``InvalidLevel`` unless the
+    level is in (0, 1) and not so near 1 that its tail rounds to nothing."""
     if not 0.0 < level < 1.0:
         raise InvalidLevel(f"confidence level must be in (0, 1), got {level}")
+    p = 1.0 - (1.0 - level) / 2.0
+    if not p < 1.0:
+        raise InvalidLevel(f"confidence level {level} is too close to 1 for a finite interval")
+    return NormalDist().inv_cdf(p)
 
 
 def _require_parameters(k: int = 1, zero_variance: bool = False, **theta):

@@ -5,12 +5,14 @@ the realized concentration differs from it by a zero-mean preparation error
 with known, standard-specific variance.  The marginal response variance of
 standard i is then ``gamma_i = sigma_eps2 + beta**2 * delta_var[i]``.
 
-The intercept and the unknown concentration have closed-form expressions in
-terms of the slope and the data means, which reduces the likelihood to a
-two-variable objective in (slope, response-error variance).  A safeguarded
-Newton iteration on its closed-form gradient and Hessian maximizes it, and
-convergence is certified afterwards from the score residuals rather than
-trusted from the iteration's own stopping rule.
+As in the paper, the intercept and the unknown concentration take their
+closed forms in the slope (``profile_alpha_x0``: ybar - beta * xbar, not
+the 1 / gamma-weighted mean that maximizes the full likelihood in alpha),
+so the objective is the likelihood along that intercept in (slope,
+response-error variance); ``var_x0`` is the full model's inverse expected
+information at the fit.  A safeguarded Newton iteration on the objective's
+closed-form gradient and Hessian maximizes it, and convergence is certified
+afterwards from the score residuals, not from the iteration's stopping rule.
 
 Each formula is written once (``gamma``, ``_evaluate``,
 ``fisher_information``); the public functions of the full parameter vector
@@ -462,15 +464,17 @@ def _hetero(first, second, work):
 def fit_hetero(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
     """Fit the heteroscedastic controlled calibration model.
 
-    Maximizes the profiled log-likelihood over (slope, log response-variance)
-    with a safeguarded Newton iteration on its analytic gradient and Hessian,
+    Maximizes the log-likelihood along the paper's closed-form intercept
+    (``profile_alpha_x0``) over (slope, log response-variance) with a
+    safeguarded Newton iteration on its analytic gradient and Hessian,
     started at the first-stage least-squares slope and the second-stage
     sample variance, until the step reaches rounding level or the smallest
     scaled score has not fallen for ``STALL_STEPS`` steps.  ``converged``
     means the scaled score residuals of the returned iterate are below
     ``SCORE_TOL``; otherwise the iterate with the smallest scaled score is
     returned with ``converged=False``.  ``iterations`` counts Newton steps,
-    at most ``MAX_ITERATIONS``.
+    at most ``MAX_ITERATIONS``.  ``var_x0`` is the full model's inverse
+    expected information at the fit.
     """
     validate(first, second)
     return _fit_result(*_hetero(first, second, workspace(first.n)), level)

@@ -7,6 +7,7 @@ so the estimation code only ever sees variances.
 Every input file is read by ``_read_rows`` under one rule: column names are
 trimmed and read by name, in any order, each at most once; blank lines are
 skipped; trailing optional cells may be left out; errors name the file line.
+The readers leave how many rows a fit needs to ``validate``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from operator import itemgetter
 import numpy as np
 
 from .data import FirstStageData, FitResult, SecondStageData
-from .errors import NegativeUncertainty, ParseError, TooFewReplicates, TooFewStandards
+from .errors import NegativeUncertainty, ParseError
 from .simulate import ScenarioConfig, ScenarioSummary, make_scenario
 
 STANDARDS_HEADER = ["X", "u", "Y"]
@@ -109,27 +110,16 @@ def _read_numbers(data, what: str, columns: list[str]):
 def parse_first_stage(data) -> FirstStageData:
     """Read a standards CSV with columns ``X,u,Y``; variances are ``u**2``."""
     lines, (x, u, y) = _read_numbers(data, "standards file", STANDARDS_HEADER)
-    if len(lines) < 3:
-        raise TooFewStandards(
-            f"standards file has {len(lines)} data rows, need at least 3"
-        )
     for line, v in zip(lines, u):
         if v < 0:
-            raise NegativeUncertainty(
-                f"standards file: row {line} has negative uncertainty {v}"
-            )
+            raise NegativeUncertainty(f"standards file: row {line} has negative uncertainty {v}")
     # a square that overflows is inf, which the container rejects as a variance
     return FirstStageData(x_fixed=x, y=y, delta_var=[v * v for v in u])
 
 
 def parse_second_stage(data) -> SecondStageData:
     """Read a sample CSV with column ``Y0``; readings keep file order."""
-    y0 = _read_numbers(data, "sample file", SAMPLE_HEADER)[1][0]
-    if len(y0) < 2:
-        raise TooFewReplicates(
-            f"sample file has {len(y0)} data rows, need at least 2"
-        )
-    return SecondStageData(y0=y0)
+    return SecondStageData(y0=_read_numbers(data, "sample file", SAMPLE_HEADER)[1][0])
 
 
 def _csv(header: list[str], rows) -> str:

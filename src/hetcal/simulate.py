@@ -11,21 +11,21 @@ finish, which keeps the reduction order fixed as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import index
 
 import numpy as np
 
-from .data import (DataStack, FirstStageData, SecondStageData, Theta, _require_count,
-                   _require_level, _require_parameters, _require_slope, validate)
+from .data import (_LEAST_K, _LEAST_N, DataStack, FirstStageData, SecondStageData, Theta,
+                   _quantile, _require_count, _require_entries, _require_parameters,
+                   _require_slope, _set, _vector, validate)
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import _hetero, variance_x0, workspace
-from .usual import _half_width, _usual, variance_usual
+from .usual import _usual, variance_usual
 
-# array elements of one chunk of replicates (2n + k per replicate).  The value
-# was set when the lanes were introduced and has not been measured again since
-# the Newton kernels stopped allocating temporaries; a design too long for
-# ``LANE_MIN`` replicates in a chunk (every n = 5000) is fitted one by one
+# array elements of one chunk of replicates (2n + k per replicate).  A design
+# too long for ``LANE_MIN`` replicates in a chunk (every n = 5000) is fitted
+# one by one: chunks of 4 and 8 took 1.23-1.27x its time at n = 5000, k = 2
 LANE_ELEMENTS = 2**14
 # the fewest replicates fitted as lanes: shorter chunks run one by one, where
 # chunks of 2 were measured at 0.74-0.88x and of 3 at 0.86-1.07x the speed
@@ -60,30 +60,31 @@ class ScenarioConfig:
     n_reps: int
     ci_level: float = 0.95
     seed: int = 0
+    _design: FirstStageData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the counts, before any array is built from them (``validate`` holds
-        # the design's own minimum of n and k; the replicate substreams are
-        # seeded with (seed, rep))
-        for name, least in (("n", 1), ("k", 1), ("n_reps", 1), ("seed", 0)):
+        # the counts, before any array is built from them: n and k as a fit
+        # needs them (the replicate substreams are seeded with (seed, rep))
+        for name, least in (("n", _LEAST_N), ("k", _LEAST_K), ("n_reps", 1), ("seed", 0)):
             _require_count(name, getattr(self, name), least)
-        # the noiseless responses, as in theoretical_variances; overflowed ones are
-        # capped, and such a scenario's draws fail replicate by replicate
+        x, dv = _vector(self.x_grid), _vector(self.delta_var_rule)
+        for name, vec in (("x_grid", x), ("delta_vars", dv)):
+            if vec.size != self.n:
+                raise ValueError(f"scenario: {name} has {vec.size} entries, n is {self.n}")
+        # the noiseless responses of ``_design``, kept for theoretical_variances;
+        # overflowed ones are capped, and such a scenario's draws fail one by one
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.nan_to_num(self.alpha_true + self.beta_true * np.asarray(self.x_grid, float))
+            y = np.nan_to_num(self.alpha_true + self.beta_true * x)
         try:  # the package's own rules, for the parameters, the level and the design
             _require_parameters(zero_variance=True, x0=self.x0_true, alpha=self.alpha_true,
                                 beta=self.beta_true, sigma_eps2=self.sigma_eps2_true)
-            _require_level(self.ci_level)
-            first, _ = validate(FirstStageData(self.x_grid, y, self.delta_var_rule),
-                                SecondStageData(np.zeros(self.k)))
+            _quantile(self.ci_level)
+            _require_entries(x, y, dv, names=("x_grid", "y", "delta_vars"))
+            first, _ = validate(FirstStageData(x, y, dv), SecondStageData(np.zeros(self.k)))
             _require_slope(self.beta_true, first)
         except CalibrationError as exc:
             raise ValueError(f"scenario: {exc}") from exc
-        if first.n != self.n:
-            raise ValueError(f"scenario: x_grid has {first.n} entries, n is {self.n}")
-        object.__setattr__(self, "x_grid", first.x_fixed)
-        object.__setattr__(self, "delta_var_rule", first.delta_var)
+        _set(self, x_grid=first.x_fixed, delta_var_rule=first.delta_var, _design=first)
 
 
 def make_scenario(
@@ -117,7 +118,9 @@ def make_scenario(
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     """Independent substream for one replicate, a pure function of the
-    integers (seed, rep); anything else is a ``TypeError``."""
+    integers (seed, rep); anything else, a bool too, is a ``TypeError``."""
+    if isinstance(seed, bool) or isinstance(rep, bool):
+        raise TypeError(f"replicate_rng takes integers, got seed={seed!r}, rep={rep!r}")
     return np.random.default_rng(np.random.SeedSequence((index(seed), index(rep))))
 
 
@@ -209,8 +212,10 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     # Chunks too short for lanes fit every replicate alone, in lane 0
     lanes = min(chunk, cfg.n_reps)
     work = workspace(lanes if lanes >= LANE_MIN else 1, cfg.n)
+    quantile = _quantile(cfg.ci_level)
     for start in range(0, cfg.n_reps, chunk):
-        _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), reported, work)
+        _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), quantile, reported,
+                   work)
     x0, var, lo, hi = np.moveaxis(reported, 2, 0)
     err, halfwidth = x0 - cfg.x0_true, (hi - lo) / 2.0
     covered = (lo <= cfg.x0_true) & (cfg.x0_true <= hi)
@@ -223,11 +228,13 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     )
 
 
-def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work: np.ndarray):
-    """Draw the replicates ``reps`` and fit them into ``reported``: as lanes,
-    in a chunk of at least ``LANE_MIN``, the finite draws whose readings
-    differ (``ss0 > 0``), in the leading lanes of ``work``; alone, in its
-    lane 0, every other finite draw.  A non-finite draw stays NaN."""
+def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, quantile: float, reported: np.ndarray,
+               work: np.ndarray):
+    """Draw the replicates ``reps`` and fit them at the level of ``quantile``
+    into ``reported``: as lanes, in a chunk of at least ``LANE_MIN``, the
+    finite draws whose readings differ (``ss0 > 0``), in the leading lanes of
+    ``work``; alone, in its lane 0, every other finite draw.  A non-finite
+    draw stays NaN."""
     z = np.empty((reps.size, 2 * cfg.n + cfg.k))
     for row, rep in zip(z, reps):
         replicate_rng(cfg.seed, rep).standard_normal(out=row)
@@ -237,24 +244,24 @@ def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, reported: np.ndarray, work
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1)
     lanes = finite & (data.ss0 > 0.0) & (reps.size >= LANE_MIN)
     if lanes.any():
-        reported[reps[lanes]] = _fit(data.take(lanes), cfg.ci_level, work[:, :lanes.sum()])
+        reported[reps[lanes]] = _fit(data.take(lanes), quantile, work[:, :lanes.sum()])
     for i in np.flatnonzero(finite & ~lanes):
-        reported[reps[i]] = _fit(data.take(i), cfg.ci_level, work[:, 0])
+        reported[reps[i]] = _fit(data.take(i), quantile, work[:, 0])
 
 
-def _fit(data: DataStack, level: float, work: np.ndarray) -> np.ndarray:
-    """What both fits at ``level`` report over the last axis of a stack whose
-    readings differ, or of one dataset (``data.take(i)``), as (...,
-    usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN where either fit's
-    verdict fails or the proposed fit does not converge.  A dataset's block
-    is what ``fit_usual`` and ``fit_hetero`` report on it, bit for bit,
-    whatever else the stack holds.  ``work`` is the proposed fit's
+def _fit(data: DataStack, quantile: float, work: np.ndarray) -> np.ndarray:
+    """What both fits at the level of ``quantile`` report over the last axis
+    of a stack whose readings differ, or of one dataset (``data.take(i)``),
+    as (..., usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN where either
+    fit's verdict fails or the proposed fit does not converge.  A dataset's
+    block is what ``fit_usual`` and ``fit_hetero`` report on it, bit for
+    bit, whatever else the stack holds.  ``work`` is the proposed fit's
     workspace, with a lane per dataset of a stack."""
     (_, _, x0_u, _, var_u, *_), usual = _usual(data, data)
     (_, _, x0_p, _, var_p, converged, *_), proposed = _hetero(data, data, work)
     x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)
     with np.errstate(all="ignore"):  # a failed lane may hold any value; it is set NaN
-        half = _half_width(var, level)
+        half = quantile * np.sqrt(var)
         out = np.stack((x0, var, x0 - half, x0 + half), axis=-1)
     failed = np.logical_or.reduce([lanes for _, lanes in usual + proposed])
     out[failed | ~converged] = np.nan
@@ -275,19 +282,9 @@ def theoretical_variances(cfg: ScenarioConfig):
     """Large-sample variances of both estimators at the true parameters."""
     if cfg.sigma_eps2_true == 0.0 and np.all(cfg.delta_var_rule == 0.0):
         return 0.0, 0.0  # noiseless limit: both estimators are exact
-    # the noiseless responses give the slope check its response scale
-    first = FirstStageData(cfg.x_grid, cfg.alpha_true + cfg.beta_true * cfg.x_grid,
-                           cfg.delta_var_rule)
-    theta = Theta(
-        alpha=cfg.alpha_true,
-        beta=cfg.beta_true,
-        x0=cfg.x0_true,
-        sigma_eps2=cfg.sigma_eps2_true,
-    )
-    return (
-        variance_usual(theta, first, cfg.k),
-        variance_x0(theta, first, cfg.k),
-    )
+    # on the scenario's design, whose noiseless responses give the slope check its scale
+    theta = Theta(cfg.alpha_true, cfg.beta_true, cfg.x0_true, cfg.sigma_eps2_true)
+    return variance_usual(theta, cfg._design, cfg.k), variance_x0(theta, cfg._design, cfg.k)
 
 
 def summarize(cfg: ScenarioConfig, table: ReplicateTable) -> ScenarioSummary:

@@ -9,33 +9,26 @@ two models coincide.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
-                   _finite_verdict, _raise_first, _require_finite, _require_finite_values,
-                   _require_level, _require_parameters, _require_slope, _slope_verdict, _sum,
-                   validate)
+                   _finite_verdict, _quantile, _raise_first, _require_finite,
+                   _require_finite_values, _require_parameters, _require_slope, _slope_verdict,
+                   _sum, validate)
 
 EXPANSION_FACTOR = 1.96  # conventional coverage factor for expanded uncertainty
 
 
-def _half_width(var_x0, level: float):
-    """Half-width of the symmetric normal-theory interval at ``level``, for
-    one variance or an array of them."""
-    return NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0) * np.sqrt(var_x0)
-
-
 def confidence_interval(x0_hat: float, var_x0: float, level: float = 0.95):
-    """Symmetric normal-theory interval for the unknown concentration;
-    ``x0_hat`` and ``var_x0`` must be finite (``NonFiniteValue``) and
-    ``var_x0`` nonnegative."""
-    _require_level(level)
+    """Symmetric normal-theory interval at ``level`` (``_quantile``) for the
+    unknown concentration; ``x0_hat`` and ``var_x0`` must be finite
+    (``NonFiniteValue``) and ``var_x0`` nonnegative."""
+    quantile = _quantile(level)
     _require_finite_values(x0_hat=x0_hat, var_x0=var_x0)
     if var_x0 < 0:
         raise ValueError(f"var_x0 must be nonnegative, got {var_x0}")
-    half = _half_width(var_x0, level)
+    half = quantile * np.sqrt(var_x0)
     return float(x0_hat - half), float(x0_hat + half)
 
 

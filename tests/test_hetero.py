@@ -497,12 +497,14 @@ def test_exact_line_is_recognised_in_any_response_unit(scale):
 
 
 @pytest.mark.parametrize("fit", [fit_usual, fit_hetero])
-@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, math.nan])
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.1, math.nan, 0.9999999999999999])
 def test_invalid_level_raises_for_both_estimators(analytes, fit, level):
+    # 1 - (1 - level) / 2 rounds to 1 at the last level, whose quantile is infinite
+    match = "is too close to 1" if 0.0 < level < 1.0 else r"must be in \(0, 1\), got"
     exact = (FirstStageData(x_fixed=[0, 1, 2], y=[1, 3, 5], delta_var=[0, 0, 0]),
              SecondStageData(y0=[3, 3]))
     for first, second in (exact, analytes["chromium"]):
-        with pytest.raises(InvalidLevel):
+        with pytest.raises(InvalidLevel, match=match):
             fit(first, second, level=level)
 
 

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -25,6 +26,7 @@ from hetcal import (
     parse_first_stage,
     parse_scenarios,
     parse_second_stage,
+    validate,
 )
 from hetcal.cli import main
 from hetcal.fixtures import fixture_bytes, load_analyte
@@ -44,9 +46,17 @@ def test_parse_standards_squares_uncertainty():
     assert first.delta_var[0] == pytest.approx(2.56e-08, rel=1e-12)
 
 
-def test_parse_standards_header_only_rejected():
-    with pytest.raises(TooFewStandards):
-        parse_first_stage(b"X,u,Y\n")
+def test_parse_standards_header_only_rejected(tmp_path, capsys):
+    # the reader checks the file format only; the count rule is validate's,
+    # and hetcal fit reports its error in one line
+    first = parse_first_stage(b"X,u,Y\n")
+    assert first.n == 0
+    with pytest.raises(TooFewStandards, match="need at least 3 standards, got 0"):
+        validate(first, parse_second_stage("Y0\n1.0\n2.0\n"))
+    std, samp = tmp_path / "header.csv", fixture_paths(tmp_path)[1]
+    std.write_text("X,u,Y\n")
+    assert main(["fit", "--standards", str(std), "--sample", samp]) == 1
+    assert capsys.readouterr() == ("", "error: need at least 3 standards, got 0\n")
 
 
 def test_parse_standards_zero_uncertainty_is_valid_reduction_path():
@@ -193,12 +203,20 @@ def test_parse_sample_keeps_order():
     assert np.array_equal(second.y0, [10173.6, 10516.9, 10352.2])
 
 
-def test_parse_sample_two_rows_ok_and_fewer_rejected():
-    assert parse_second_stage("Y0\n1.0\n2.0\n").k == 2
-    with pytest.raises(TooFewReplicates):
-        parse_second_stage("Y0\n1.0\n")
+def test_parse_sample_two_rows_ok_and_fewer_rejected(tmp_path, capsys):
+    # as for the standards, one reading is rejected by validate, not the reader
+    first, second = load_analyte("chromium")
+    assert validate(first, parse_second_stage("Y0\n1.0\n2.0\n"))[1].k == 2
+    one = parse_second_stage("Y0\n1.0\n")
+    assert one.k == 1
+    with pytest.raises(TooFewReplicates, match="need at least 2 sample readings, got 1"):
+        validate(first, one)
     with pytest.raises(ParseError):
         parse_second_stage("")
+    std, samp = fixture_paths(tmp_path)[0], tmp_path / "one.csv"
+    samp.write_text("Y0\n1.0\n")
+    assert main(["fit", "--standards", std, "--sample", str(samp)]) == 1
+    assert capsys.readouterr() == ("", "error: need at least 2 sample readings, got 1\n")
 
 
 def test_roundtrip_standards_and_sample(analytes):
@@ -298,8 +316,9 @@ def test_a_byte_order_mark_at_the_start_of_a_file_is_ignored():
 
     from hetcal.fixtures import scenario_file_bytes
 
-    def fields(obj):
-        return [np.asarray(v).tobytes() for v in vars(obj).values()]
+    def fields(obj):  # what the object holds, without a scenario's design built from it
+        return [np.asarray(getattr(obj, f.name)).tobytes() for f in dataclasses.fields(obj)
+                if f.compare]
 
     for name, parse in (("cadmium_standards.csv", parse_first_stage),
                         ("cadmium_sample.csv", parse_second_stage)):
@@ -530,6 +549,23 @@ def test_cli_simulate_bundled_study_file_smoke(tmp_path):
     assert x0s == {0.01, 0.8, 1.9}
 
 
+def test_cli_level_with_no_finite_quantile_exit_1(tmp_path, capsys):
+    # the level's quantile was taken after the fits, where it raised an
+    # untyped StatisticsError; both commands now reject the level up front
+    std, samp = fixture_paths(tmp_path, "cadmium")
+    level = "0.9999999999999999"
+    assert main(["fit", "--standards", std, "--sample", samp, "--level", level]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: confidence level") and err.count("\n") == 1
+    scen, summary = tmp_path / "scen.csv", tmp_path / "summary.csv"
+    scen.write_text(f"n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,ci_level\n"
+                    f"5,2,0.8,0.1,2.0,0.04,10,1,{level}\n")
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(summary)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario file: row 2: ") and err.count("\n") == 1
+    assert "too close to 1" in err and not summary.exists()
+
+
 def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     assert main(["simulate", "--scenarios", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path / "o.csv")]) == 1
@@ -544,8 +580,8 @@ def test_cli_simulate_bad_input_exit_1(tmp_path, capsys):
     for row, field in (("5,2,0.8,0.1,2.0,-0.04,10,1", "sigma_eps2 must be nonnegative"),
                        ("5,2,0.8,0.1,2.0,nan,10,1", "sigma_eps2 must be finite"),
                        ("5,2,nan,0.1,2.0,0.04,10,1", "x0 must be finite"),
-                       ("5,1,0.8,0.1,2.0,0.04,10,1", "2 sample readings, got 1"),
-                       ("2,2,0.8,0.1,2.0,0.04,10,1", "3 standards, got 2"),
+                       ("5,1,0.8,0.1,2.0,0.04,10,1", "k must be >= 2, got 1"),
+                       ("2,2,0.8,0.1,2.0,0.04,10,1", "n must be >= 3, got 2"),
                        ("5,2,0.8,0.1,0,0.04,10,1", "slope 0.0 is numerically zero"),
                        ("5,2,0.8,0.1,1e-20,0.04,10,1", "slope 1e-20 is numerically zero"),
                        ("5,2,0.8,0.1,2.0,0.04,10,-1", "seed must be >= 0")):
@@ -607,8 +643,7 @@ def test_cli_simulate_overflowing_draws_fail_as_replicates(tmp_path, capsys):
     scen.write_text("n,k,x0,alpha,beta,sigma_eps2,n_reps,seed,x_grid\n"
                     "5,2,0.8,0.1,1e308,0.04,3,1,2;3;4;5;6\n")
     out = tmp_path / "s.csv"
-    with np.errstate(over="ignore"):
-        assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
     assert "all 3 replicates failed" in capsys.readouterr().err
     assert out.read_text().count("\n") == 1
 
@@ -622,8 +657,7 @@ def test_cli_simulate_extreme_slopes_exit_0(tmp_path, capsys):
     assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 2
     scen.write_text(header + "5,2,0.8,0.1,1e200,0.04,5,1\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
+    assert main(["simulate", "--scenarios", str(scen), "--out", str(out)]) == 0
     assert "all 5 replicates failed" in capsys.readouterr().err
 
 
@@ -633,8 +667,7 @@ def test_cli_fit_unrepresentable_fit_exit_1(tmp_path, capsys, model):
     std.write_text("X,u,Y\n0,0.01,1e159\n0.5,0.01,2.1e160\n1,0.01,3.9e160\n"
                    "1.5,0.01,6.2e160\n2,0.01,8e160\n")
     samp.write_text("Y0\n3e160\n3.2e160\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["fit", "--standards", str(std), "--sample", str(samp), "--model", model])
+    code = main(["fit", "--standards", str(std), "--sample", str(samp), "--model", model])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -30,7 +30,7 @@ from hetcal import (
     theoretical_variances,
 )
 from hetcal import hetero, simulate
-from hetcal.data import DataStack
+from hetcal.data import DataStack, _quantile
 
 
 # ------------------------------------------------------- design rules
@@ -94,12 +94,14 @@ def test_generate_moments_of_preparation_error():
     cfg = make_scenario(n=3, k=2, x0=0.5, sigma_eps2=0.0, delta_vars=dv,
                         x_grid=np.array([0.0, 2.0, 1.0]), n_reps=1, seed=5)
     reps = 100_000
+    # one block draw of the replicates that generate_dataset draws one by one
+    z = replicate_rng(cfg.seed, 0).standard_normal((reps, 2 * cfg.n + cfg.k))
+    y, y0 = simulate._responses(cfg, z)
     rng = replicate_rng(cfg.seed, 0)
-    deltas = np.empty((reps, 3))
-    for r in range(reps):
-        first, _ = generate_dataset(cfg, rng)
-        resid = first.y - cfg.alpha_true - cfg.beta_true * cfg.x_grid
-        deltas[r] = -resid / cfg.beta_true
+    for r in range(3):
+        first, second = generate_dataset(cfg, rng)
+        assert np.array_equal(first.y, y[r]) and np.array_equal(second.y0, y0[r])
+    deltas = -(y - cfg.alpha_true - cfg.beta_true * cfg.x_grid) / cfg.beta_true
     mean = deltas.mean(axis=0)
     var = deltas.var(axis=0)
     assert np.all(np.abs(mean) < 3 * np.sqrt(dv / reps))
@@ -118,10 +120,13 @@ def rejected(match, **kwargs):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    rejected("first-stage vectors have lengths 4, 4, 5", x_grid=np.zeros(4)),
+    rejected("x_grid has 4 entries, n is 5", x_grid=np.zeros(4)),
+    rejected("delta_vars has 4 entries, n is 5", delta_vars=[0.1] * 4),
     rejected("n_reps must be >= 1, got 0", n_reps=0),
     rejected("confidence level must be in (0, 1), got 1.0", ci_level=1.0),
     rejected("confidence level must be in (0, 1), got nan", ci_level=NAN),
+    rejected("confidence level 0.9999999999999999 is too close to 1",
+             ci_level=0.9999999999999999),
     rejected("sigma_eps2 must be nonnegative, got -0.04", sigma_eps2=-0.04),
     rejected("sigma_eps2 must be finite, got nan", sigma_eps2=NAN),
     rejected("sigma_eps2 must be finite, got inf", sigma_eps2=INF),
@@ -129,11 +134,11 @@ def rejected(match, **kwargs):
     rejected("x0 must be finite, got inf", x0=INF),
     rejected("alpha must be finite, got nan", alpha=NAN),
     rejected("beta must be finite, got -inf", beta=-INF),
-    rejected("need at least 2 sample readings, got 1", k=1),
-    rejected("need at least 3 standards, got 2", n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
-    rejected("delta_var[1] = -0.1 is not", delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
-    rejected("delta_var[1] = nan is not", delta_vars=[0.1, NAN, 0.1, 0.1, 0.1]),
-    rejected("x_fixed[2] = inf is not", x_grid=[0.0, 0.5, INF, 1.5, 2.0]),
+    rejected("k must be >= 2, got 1", k=1),
+    rejected("n must be >= 3, got 2", n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
+    rejected("delta_vars[1] = -0.1 is not", delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
+    rejected("delta_vars[1] = nan is not", delta_vars=[0.1, NAN, 0.1, 0.1, 0.1]),
+    rejected("x_grid[2] = inf is not", x_grid=[0.0, 0.5, INF, 1.5, 2.0]),
     rejected("all standard concentrations are identical", x_grid=[1.0] * 5),
     rejected("slope 0.0 is numerically zero", beta=0.0),
     rejected("slope -0.0 is numerically zero", beta=-0.0),
@@ -167,7 +172,7 @@ def test_config_validation():
     pytest.param(lambda: make_scenario(5.0, 2, 0.8, x_grid=default_grid(5),
                                        delta_vars=default_delta_vars(5)),
                  "n must be an integer", id="n=5.0-own-grid"),
-    pytest.param(lambda: make_scenario(5, 0, 0.8), "k must be >= 1", id="k=0"),
+    pytest.param(lambda: make_scenario(5, 0, 0.8), "k must be >= 2", id="k=0"),
     # a bool is an int to Python: n_reps=True failed inside numpy, seed=True ran as seed 1
     pytest.param(lambda: make_scenario(5, 2, 0.8, n_reps=True), "n_reps must be an integer, "
                  "got True", id="n_reps=True"),
@@ -188,11 +193,12 @@ def test_replicate_rng_takes_integers_only():
     # int(seed) ran a float seed as its truncation
     draws = replicate_rng(1, 0).standard_normal(3)
     assert np.array_equal(replicate_rng(np.int64(1), np.uint8(0)).standard_normal(3), draws)
-    for seed in (1.5, 1.0, "1"):
+    for seed in (1.5, 1.0, "1", True):  # a bool is an int to Python: True ran as seed 1
         with pytest.raises(TypeError):
             replicate_rng(seed, 0)
-    with pytest.raises(TypeError):
-        replicate_rng(1, 0.0)
+    for rep in (0.0, False):
+        with pytest.raises(TypeError):
+            replicate_rng(1, rep)
 
 
 def test_numpy_integer_counts_are_counts():
@@ -284,9 +290,13 @@ def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes
 
 
 def test_huge_slope_theoretical_variance_raises_non_finite_value():
-    # beta * beta overflows, so every weight 1 / gamma of variance_x0 vanishes
-    with pytest.raises(NonFiniteValue, match="not representable"):
-        theoretical_variances(make_scenario(n=5, k=2, x0=0.8, beta=1e200, n_reps=1))
+    # beta * beta overflows, so every weight 1 / gamma of variance_x0 vanishes.
+    # At 1e308 beta * x overflows too: the variances are read on the design
+    # the scenario built, whose noiseless responses are capped, so no
+    # RuntimeWarning (an error under pyproject.toml) comes first
+    for beta in (1e200, 1e308):
+        with pytest.raises(NonFiniteValue, match="variance is not representable"):
+            theoretical_variances(make_scenario(n=5, k=2, x0=0.8, beta=beta, n_reps=1))
 
 
 def test_small_response_unit_scenario_fits_every_replicate():
@@ -411,6 +421,10 @@ def _own_fits(x, dv, y, y0):
     return out
 
 
+# simulate._fit takes the normal quantile of the level, as simulate_replicates hands it
+Q95 = _quantile(0.95)
+
+
 def _assert_same_bits(a, b):
     assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -434,10 +448,10 @@ def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_s
     work = hetero.workspace(len(y), data.n)  # shared by every fit, as in simulate_replicates
     with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
         own = _own_fits(x, dv, y, y0)
-        alone = np.array([simulate._fit(data.take(i), 0.95, work[:, 0]) for i in range(len(y))])
-        whole = simulate._fit(data.take(lanes), 0.95, work[:, :lanes.size])
-        shuffled = simulate._fit(data.take(order), 0.95, work[:, :order.size])
-        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), 0.95, work[:, :part.size])
+        alone = np.array([simulate._fit(data.take(i), Q95, work[:, 0]) for i in range(len(y))])
+        whole = simulate._fit(data.take(lanes), Q95, work[:, :lanes.size])
+        shuffled = simulate._fit(data.take(order), Q95, work[:, :order.size])
+        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), Q95, work[:, :part.size])
     _assert_same_bits(alone, own)
     _assert_same_bits(whole, own[lanes])
     _assert_same_bits(shuffled, own[order])
@@ -499,9 +513,9 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
     assert np.all(data.ss0 > 0.0)
     own = _own_fits(x, dv, y, y0)
     work = hetero.workspace(len(y), x.size)
-    lanes = simulate._fit(data, 0.95, work)
+    lanes = simulate._fit(data, Q95, work)
     _assert_same_bits(lanes, own)
-    _assert_same_bits(np.array([simulate._fit(data.take(i), 0.95, work[:, 0])
+    _assert_same_bits(np.array([simulate._fit(data.take(i), Q95, work[:, 0])
                                 for i in range(len(y))]), own)
     assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
     # the two Newton drivers return the same kept iterate, failed lanes too

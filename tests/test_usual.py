@@ -99,7 +99,7 @@ def test_confidence_interval_standard_normal_quantile():
 
 
 def test_confidence_interval_rejects_bad_level():
-    for level in (0.0, 1.0, -0.2, 1.7):
+    for level in (0.0, 1.0, -0.2, 1.7, 0.9999999999999999):
         with pytest.raises(InvalidLevel):
             confidence_interval(0.0, 1.0, level)
 
@@ -193,5 +193,5 @@ def test_unrepresentable_fit_raises_non_finite_value():
     x = np.linspace(0.0, 2.0, 5)
     scatter = np.array([0.03, -0.05, 0.02, 0.04, -0.03])
     first = FirstStageData(x, 1e160 * (0.1 + 2.0 * x + scatter), np.full(5, 1e-4))
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue):
         fit_usual(first, SecondStageData([3e160, 3.2e160]))
