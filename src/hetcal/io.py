@@ -7,7 +7,9 @@ so the estimation code only ever sees variances.
 Every input file is read by ``_read_rows`` under one rule: column names are
 trimmed and read by name, in any order, each at most once; blank lines are
 skipped; trailing optional cells may be left out; errors name the file line.
-The readers leave how many rows a fit needs to ``validate``.
+Every cell of the standards and sample files must be a finite number, and an
+error names the file, row and column of the first that is not.  The readers
+leave how many rows a fit needs to ``validate``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import csv
 import hashlib
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from .data import FirstStageData, FitResult, SecondStageData
-from .errors import NegativeUncertainty, ParseError
+from .errors import NegativeUncertainty, NegativeVariance, NonFiniteValue, ParseError
 from .simulate import ScenarioConfig, ScenarioSummary, make_scenario
 
 STANDARDS_HEADER = ["X", "u", "Y"]
@@ -88,23 +91,31 @@ def _read_rows(data, what: str, required: list[str], optional=()):
 
 def _read_numbers(data, what: str, columns: list[str]):
     """A file of numeric ``columns``, read by name: each row's file line, and
-    the values of each column, in the order of ``columns``.  Each column is
-    converted in one pass; where a cell is not a number, the rows are read
-    again one by one, so that the error names the first bad cell in row-major
-    order."""
+    the values of each column, in the order of ``columns``.  A cell must be
+    a finite number.  Each column is converted and checked in one pass;
+    where a cell is not a finite number, the rows are read again one by one,
+    so that the error names the first bad cell in row-major order: a
+    ``ParseError`` for text that is not a number, else a ``NonFiniteValue``,
+    or a ``NegativeVariance`` in ``u``, which gives a variance."""
     header, lines, rows = _read_rows(data, what, columns)
     index = [header.index(col) for col in columns]
     try:
-        return lines, [list(map(float, map(itemgetter(i), rows))) for i in index]
+        values = [list(map(float, map(itemgetter(i), rows))) for i in index]
+        if all(all(map(math.isfinite, col)) for col in values):
+            return lines, values
     except ValueError:
-        for line, cells in zip(lines, rows):
-            for col, i in zip(columns, index):
-                try:
-                    float(cells[i])
-                except ValueError:
-                    raise ParseError(f"{what}: row {line}, column {col}: {cells[i]!r} "
-                                     "is not a number") from None
-        raise
+        pass
+    for line, cells in zip(lines, rows):
+        for col, i in zip(columns, index):
+            try:
+                if math.isfinite(float(cells[i])):
+                    continue
+                error = NegativeVariance if col == "u" else NonFiniteValue
+                problem = "is not a finite number"
+            except ValueError:
+                error, problem = ParseError, "is not a number"
+            raise error(f"{what}: row {line}, column {col}: {cells[i]!r} {problem}")
+    raise AssertionError("a column failed its conversion, but none of its cells does")
 
 
 def parse_first_stage(data) -> FirstStageData:
@@ -113,8 +124,12 @@ def parse_first_stage(data) -> FirstStageData:
     for line, v in zip(lines, u):
         if v < 0:
             raise NegativeUncertainty(f"standards file: row {line} has negative uncertainty {v}")
-    # a square that overflows is inf, which the container rejects as a variance
-    return FirstStageData(x_fixed=x, y=y, delta_var=[v * v for v in u])
+    dv = [v * v for v in u]
+    if math.inf in dv:  # a square that overflows
+        row = dv.index(math.inf)
+        raise NegativeVariance(f"standards file: row {lines[row]}, column u: {u[row]} squared "
+                               "is not a finite number")
+    return FirstStageData(x_fixed=x, y=y, delta_var=dv)
 
 
 def parse_second_stage(data) -> SecondStageData:

@@ -27,9 +27,10 @@ from .usual import _usual, variance_usual
 # too long for ``LANE_MIN`` replicates in a chunk (every n = 5000) is fitted
 # one by one: chunks of 4 and 8 took 1.23-1.27x its time at n = 5000, k = 2
 LANE_ELEMENTS = 2**14
-# the fewest replicates fitted as lanes: shorter chunks run one by one, where
-# chunks of 2 were measured at 0.74-0.88x and of 3 at 0.86-1.07x the speed
-# of the per-replicate loop for n = 1000-2000
+# the fewest replicates fitted as lanes: shorter chunks run one by one.  As
+# lanes, chunks of 2 took 1.56x and chunks of 3 1.35x the time of fitting
+# alone, at (n, k) = (3000, 2) and (2500, 2) (medians of 8 pairs, bit-identical
+# tables; ROADMAP, aim 2)
 LANE_MIN = 4
 
 
@@ -101,6 +102,7 @@ def make_scenario(
     delta_vars: np.ndarray | None = None,
 ) -> ScenarioConfig:
     """Scenario with the study defaults: 0..2 grid and linear variance rule."""
+    _require_count("n", n, _LEAST_N)  # ScenarioConfig's rule, before a default design of n
     return ScenarioConfig(
         n=n,
         k=k,
@@ -193,30 +195,31 @@ class ScenarioSummary:
 def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
     """Run every replicate of a scenario and collect per-replicate metrics.
 
-    Each replicate keeps what its two fits report: the estimate, its
-    variance and its interval.  Errors, half-widths and coverage are then
-    read from those stacked values, so the table measures the interval each
-    fit actually reports; a failed replicate is a row left NaN.
+    Each replicate keeps what its two fits give: the estimate and its
+    variance.  The table forms every interval once, at the scenario's level,
+    as ``fit_usual`` and ``fit_hetero`` do, and reads errors, half-widths
+    and coverage from it; a failed replicate is a row left NaN.
 
     Replicates run in chunks of ``LANE_ELEMENTS // (2n + k)`` (``_fit_chunk``),
-    and ``_fit`` reports both fits of a chunk's lanes at once and of every
-    other replicate alone, in one workspace per scenario.  Each replicate
-    gets the result ``fit_usual`` and ``fit_hetero`` give its dataset, bit
-    for bit, so the table does not depend on the chunking.
+    and ``_fit`` fits a chunk's lanes at once and every other replicate
+    alone, in one workspace per scenario.  Each replicate gets the estimates
+    ``fit_usual`` and ``fit_hetero`` give its dataset, bit for bit, so the
+    table does not depend on the chunking.
     """
-    # (replicate, usual/proposed, x0/var_x0/ci_lower/ci_upper)
-    reported = np.full((cfg.n_reps, 2, 4), np.nan)
+    # (replicate, usual/proposed, x0/var_x0)
+    fits = np.full((cfg.n_reps, 2, 2), np.nan)
     chunk = max(1, LANE_ELEMENTS // (2 * cfg.n + cfg.k))
     # one workspace for the largest chunk: a workspace per fit of a long
     # design would be allocated and returned to the system by every fit.
     # Chunks too short for lanes fit every replicate alone, in lane 0
     lanes = min(chunk, cfg.n_reps)
     work = workspace(lanes if lanes >= LANE_MIN else 1, cfg.n)
-    quantile = _quantile(cfg.ci_level)
     for start in range(0, cfg.n_reps, chunk):
-        _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), quantile, reported,
-                   work)
-    x0, var, lo, hi = np.moveaxis(reported, 2, 0)
+        _fit_chunk(cfg, np.arange(start, min(start + chunk, cfg.n_reps)), fits, work)
+    x0, var = np.moveaxis(fits, 2, 0)
+    quantile = _quantile(cfg.ci_level)
+    half = quantile * np.sqrt(var)
+    lo, hi = x0 - half, x0 + half
     err, halfwidth = x0 - cfg.x0_true, (hi - lo) / 2.0
     covered = (lo <= cfg.x0_true) & (cfg.x0_true <= hi)
     return ReplicateTable(
@@ -224,17 +227,15 @@ def simulate_replicates(cfg: ScenarioConfig) -> ReplicateTable:
         var_usual=var[:, 0], var_proposed=var[:, 1],
         halfwidth_usual=halfwidth[:, 0], halfwidth_proposed=halfwidth[:, 1],
         covered_usual=covered[:, 0], covered_proposed=covered[:, 1],
-        failed=np.isnan(reported).any(axis=(1, 2)),
+        failed=np.isnan(fits).any(axis=(1, 2)),
     )
 
 
-def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, quantile: float, reported: np.ndarray,
-               work: np.ndarray):
-    """Draw the replicates ``reps`` and fit them at the level of ``quantile``
-    into ``reported``: as lanes, in a chunk of at least ``LANE_MIN``, the
-    finite draws whose readings differ (``ss0 > 0``), in the leading lanes of
-    ``work``; alone, in its lane 0, every other finite draw.  A non-finite
-    draw stays NaN."""
+def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, fits: np.ndarray, work: np.ndarray):
+    """Draw the replicates ``reps`` and fit them into ``fits``: as lanes, in
+    a chunk of at least ``LANE_MIN``, the finite draws whose readings differ
+    (``ss0 > 0``), in the leading lanes of ``work``; alone, in its lane 0,
+    every other finite draw.  A non-finite draw stays NaN."""
     z = np.empty((reps.size, 2 * cfg.n + cfg.k))
     for row, rep in zip(z, reps):
         replicate_rng(cfg.seed, rep).standard_normal(out=row)
@@ -244,25 +245,23 @@ def _fit_chunk(cfg: ScenarioConfig, reps: np.ndarray, quantile: float, reported:
     finite = np.isfinite(y).all(axis=-1) & np.isfinite(y0).all(axis=-1)
     lanes = finite & (data.ss0 > 0.0) & (reps.size >= LANE_MIN)
     if lanes.any():
-        reported[reps[lanes]] = _fit(data.take(lanes), quantile, work[:, :lanes.sum()])
+        fits[reps[lanes]] = _fit(data.take(lanes), work[:, :lanes.sum()])
     for i in np.flatnonzero(finite & ~lanes):
-        reported[reps[i]] = _fit(data.take(i), quantile, work[:, 0])
+        fits[reps[i]] = _fit(data.take(i), work[:, 0])
 
 
-def _fit(data: DataStack, quantile: float, work: np.ndarray) -> np.ndarray:
-    """What both fits at the level of ``quantile`` report over the last axis
-    of a stack whose readings differ, or of one dataset (``data.take(i)``),
-    as (..., usual/proposed, x0/var_x0/ci_lower/ci_upper); NaN where either
-    fit's verdict fails or the proposed fit does not converge.  A dataset's
-    block is what ``fit_usual`` and ``fit_hetero`` report on it, bit for
-    bit, whatever else the stack holds.  ``work`` is the proposed fit's
+def _fit(data: DataStack, work: np.ndarray) -> np.ndarray:
+    """What both estimators give over the last axis of a stack whose
+    readings differ, or of one dataset (``data.take(i)``), as (...,
+    usual/proposed, x0/var_x0); NaN where either fit's verdict fails or the
+    proposed fit does not converge.  A dataset's block is the x0 and var_x0
+    that ``fit_usual`` and ``fit_hetero`` report on it, bit for bit,
+    whatever else the stack holds.  ``work`` is the proposed fit's
     workspace, with a lane per dataset of a stack."""
     (_, _, x0_u, _, var_u, *_), usual = _usual(data, data)
     (_, _, x0_p, _, var_p, converged, *_), proposed = _hetero(data, data, work)
     x0, var = np.stack((x0_u, x0_p), axis=-1), np.stack((var_u, var_p), axis=-1)
-    with np.errstate(all="ignore"):  # a failed lane may hold any value; it is set NaN
-        half = quantile * np.sqrt(var)
-        out = np.stack((x0, var, x0 - half, x0 + half), axis=-1)
+    out = np.stack((x0, var), axis=-1)
     failed = np.logical_or.reduce([lanes for _, lanes in usual + proposed])
     out[failed | ~converged] = np.nan
     return out

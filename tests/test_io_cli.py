@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from hetcal import (
     FirstStageData,
     NegativeUncertainty,
     NegativeVariance,
+    NonFiniteValue,
     ParseError,
     SecondStageData,
     TooFewReplicates,
@@ -128,8 +130,38 @@ def test_parse_errors_name_the_first_bad_cell_in_row_major_order():
 
 def test_parse_standards_rejects_a_u_whose_square_overflows_without_a_warning():
     # pyproject turns a RuntimeWarning into an error
-    with pytest.raises(NegativeVariance, match=r"delta_var\[1\] = inf"):
+    with pytest.raises(NegativeVariance, match=re.escape(
+            "standards file: row 3, column u: 1e+200 squared is not a finite number")):
         parse_first_stage("X,u,Y\n0,0,1\n1,1e200,2\n2,0,3\n")
+
+
+@pytest.mark.parametrize("parse, text, error, message", [
+    (parse_first_stage, "X,u,Y\n0,0,1\nnan,0,2\n2,0,3\n", NonFiniteValue,
+     "standards file: row 3, column X: 'nan' is not a finite number"),
+    (parse_first_stage, "X,u,Y\n0,0,1\n1,0,-inf\n2,0,3\n", NonFiniteValue,
+     "standards file: row 3, column Y: '-inf' is not a finite number"),
+    # u gives a variance, so a u that is not finite is a variance that is not
+    (parse_first_stage, "X,u,Y\n0,0,1\n1,nan,2\n2,0,3\n", NegativeVariance,
+     "standards file: row 3, column u: 'nan' is not a finite number"),
+    (parse_second_stage, "Y0\n1\ninf\n", NonFiniteValue,
+     "sample file: row 3, column Y0: 'inf' is not a finite number"),
+    # a number too large for a float reads as inf
+    (parse_second_stage, "Y0\n1\n1e400\n", NonFiniteValue,
+     "sample file: row 3, column Y0: '1e400' is not a finite number"),
+    # the first bad cell in row-major order, whether not a number or not finite
+    (parse_first_stage, "X,u,Y\n0,0,1\nnan,0,oops\n2,0,3\n", NonFiniteValue,
+     "standards file: row 3, column X: 'nan' is not a finite number"),
+    (parse_first_stage, "X,u,Y\n0,0,1\n1,0,nan\noops,0,3\n", NonFiniteValue,
+     "standards file: row 3, column Y: 'nan' is not a finite number"),
+    (parse_second_stage, "Y0\n1\nnan\noops\n", NonFiniteValue,
+     "sample file: row 3, column Y0: 'nan' is not a finite number"),
+    (parse_first_stage, "X,u,Y\n0,0,1\n1,0,oops\nnan,0,3\n", ParseError,
+     "standards file: row 3, column Y: 'oops' is not a number"),
+])
+def test_a_cell_that_is_not_a_finite_number_is_named_by_row_and_column(parse, text, error,
+                                                                       message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def _cell_text(value: float, form: int) -> str:
@@ -444,7 +476,7 @@ def test_cli_fit_non_finite_cell_exit_1(tmp_path, capsys, model):
     assert main(["fit", "--standards", str(std), "--sample", samp, "--model", model]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "x_fixed[1]" in err
+    assert err == "error: standards file: row 3, column X: 'nan' is not a finite number\n"
 
 
 def test_cli_fit_nonconvergence_exit_2(tmp_path, capsys, monkeypatch):

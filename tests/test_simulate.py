@@ -30,7 +30,7 @@ from hetcal import (
     theoretical_variances,
 )
 from hetcal import hetero, simulate
-from hetcal.data import DataStack, _quantile
+from hetcal.data import DataStack
 
 
 # ------------------------------------------------------- design rules
@@ -136,6 +136,8 @@ def rejected(match, **kwargs):
     rejected("beta must be finite, got -inf", beta=-INF),
     rejected("k must be >= 2, got 1", k=1),
     rejected("n must be >= 3, got 2", n=2, x_grid=[0.0, 2.0], delta_vars=[0.0, 0.1]),
+    # the default design is not built of an n too small for a fit
+    rejected("n must be >= 3, got 1", n=1),
     rejected("delta_vars[1] = -0.1 is not", delta_vars=[0.1, -0.1, 0.1, 0.1, 0.1]),
     rejected("delta_vars[1] = nan is not", delta_vars=[0.1, NAN, 0.1, 0.1, 0.1]),
     rejected("x_grid[2] = inf is not", x_grid=[0.0, 0.5, INF, 1.5, 2.0]),
@@ -262,16 +264,22 @@ def test_failures_are_counted_and_excluded():
     assert not table.covered_usual.any() and not table.covered_proposed.any()
 
 
-@pytest.mark.parametrize("n, k, n_reps, lanes", [(5, 2, 60, True), (20, 20, 60, True),
-                                                 (100, 2, 60, True), (5000, 20, 8, False)])
+@pytest.mark.parametrize("n, k, n_reps, lanes, noise", [
+    pytest.param(*case, {}, id="-".join(map(str, case)))
+    for case in ((5, 2, 60, True), (20, 20, 60, True), (100, 2, 60, True), (5000, 20, 8, False),
+                 (100, 2, 84, True))  # chunks of 81 and 3, the 3 too few for lanes
+] + [
+    # an exact line with identical readings, whose replicates are fitted alone
+    pytest.param(5, 2, 4, True, dict(sigma_eps2=0.0, delta_vars=np.zeros(5)), id="noiseless"),
+])
 @pytest.mark.bitwise
-def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes):
-    # the table reads every replicate's half-width and coverage from the
-    # interval its fits report, not from a second derivation of it; fitted
-    # as lanes or replicate by replicate, it equals fit_usual and fit_hetero
-    # on each replicate's dataset exactly
+def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes, noise):
+    # the table forms every replicate's interval, and reads its half-width
+    # and coverage from it; fitted as lanes or replicate by replicate, that
+    # interval is the one fit_usual and fit_hetero report on each
+    # replicate's dataset, bit for bit
     assert (simulate.LANE_ELEMENTS // (2 * n + k) >= simulate.LANE_MIN) == lanes
-    cfg = make_scenario(n=n, k=k, x0=0.8, n_reps=n_reps, seed=7)
+    cfg = make_scenario(n=n, k=k, x0=0.8, n_reps=n_reps, seed=7, **noise)
     table = simulate_replicates(cfg)
     assert not table.failed.any()
     for rep in range(cfg.n_reps):
@@ -283,9 +291,9 @@ def test_each_replicate_reports_the_interval_of_its_own_fits(n, k, n_reps, lanes
              table.covered_proposed),
         ):
             res = fit(first, second, level=cfg.ci_level)
-            assert err[rep] == res.theta_hat.x0 - cfg.x0_true
-            assert var[rep] == res.var_x0
-            assert half[rep] == (res.ci_upper - res.ci_lower) / 2.0
+            _assert_same_bits(np.array([err[rep], var[rep], half[rep]]),
+                              np.array([res.theta_hat.x0 - cfg.x0_true, res.var_x0,
+                                        (res.ci_upper - res.ci_lower) / 2.0]))
             assert covered[rep] == (res.ci_lower <= cfg.x0_true <= res.ci_upper)
 
 
@@ -407,9 +415,9 @@ def design_stacks(draw):
 def _own_fits(x, dv, y, y0):
     """What ``fit_usual`` and ``fit_hetero`` report on each dataset
     ``(x, y[i], dv)``, ``y0[i]`` built as containers, as (m, usual/proposed,
-    x0/var_x0/ci_lower/ci_upper); NaN where either fit raises or the
-    proposed fit does not converge."""
-    out = np.full((len(y), 2, 4), np.nan)
+    x0/var_x0); NaN where either fit raises or the proposed fit does not
+    converge."""
+    out = np.full((len(y), 2, 2), np.nan)
     for i in range(len(y)):
         first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
         try:
@@ -417,12 +425,8 @@ def _own_fits(x, dv, y, y0):
         except CalibrationError:
             continue
         if fits[1].converged:
-            out[i] = [(f.theta_hat.x0, f.var_x0, f.ci_lower, f.ci_upper) for f in fits]
+            out[i] = [(f.theta_hat.x0, f.var_x0) for f in fits]
     return out
-
-
-# simulate._fit takes the normal quantile of the level, as simulate_replicates hands it
-Q95 = _quantile(0.95)
 
 
 def _assert_same_bits(a, b):
@@ -434,7 +438,7 @@ def _assert_same_bits(a, b):
        order_seed=st.integers(0, 2**32 - 1))
 @pytest.mark.bitwise
 def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_seed):
-    # each dataset's (x0, var_x0, ci) of both fits, and whether it fails, are
+    # each dataset's (x0, var_x0) of both fits, and whether it fails, are
     # what fit_usual and fit_hetero report on it, bit for bit: fitted alone
     # as one dataset of the stack, in a shared workspace, or as a lane of a
     # stack of any size and order.  Identical readings are fitted alone;
@@ -448,10 +452,10 @@ def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_s
     work = hetero.workspace(len(y), data.n)  # shared by every fit, as in simulate_replicates
     with patch.object(hetero, "MAX_ITERATIONS", max_iterations):
         own = _own_fits(x, dv, y, y0)
-        alone = np.array([simulate._fit(data.take(i), Q95, work[:, 0]) for i in range(len(y))])
-        whole = simulate._fit(data.take(lanes), Q95, work[:, :lanes.size])
-        shuffled = simulate._fit(data.take(order), Q95, work[:, :order.size])
-        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), Q95, work[:, :part.size])
+        alone = np.array([simulate._fit(data.take(i), work[:, 0]) for i in range(len(y))])
+        whole = simulate._fit(data.take(lanes), work[:, :lanes.size])
+        shuffled = simulate._fit(data.take(order), work[:, :order.size])
+        subset = simulate._fit(DataStack(x, dv, y[part], y0[part]), work[:, :part.size])
     _assert_same_bits(alone, own)
     _assert_same_bits(whole, own[lanes])
     _assert_same_bits(shuffled, own[order])
@@ -513,9 +517,9 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
     assert np.all(data.ss0 > 0.0)
     own = _own_fits(x, dv, y, y0)
     work = hetero.workspace(len(y), x.size)
-    lanes = simulate._fit(data, Q95, work)
+    lanes = simulate._fit(data, work)
     _assert_same_bits(lanes, own)
-    _assert_same_bits(np.array([simulate._fit(data.take(i), Q95, work[:, 0])
+    _assert_same_bits(np.array([simulate._fit(data.take(i), work[:, 0])
                                 for i in range(len(y))]), own)
     assert np.flatnonzero(np.isnan(lanes).all(axis=(1, 2))).tolist() == bad
     # the two Newton drivers return the same kept iterate, failed lanes too
