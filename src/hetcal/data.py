@@ -3,7 +3,7 @@
 The two-stage data model: the first stage holds the calibration standards
 (nominal concentrations, instrument responses, and the known variance of the
 concentration-preparation error for each standard); the second stage holds
-the replicate responses measured on the unknown sample.  All containers are
+the replicate responses measured on the unknown sample.  Both containers are
 immutable: they keep read-only copies of their vectors, check them when
 built (one length, finite values, nonnegative finite ``delta_var``) and
 summarise them once for both estimators.  ``validate`` adds what a fit
@@ -180,7 +180,6 @@ class SecondStageData:
         return self.y0.size
 
 
-@dataclass(frozen=True, eq=False)
 class DataStack:
     """m datasets on one design, one per row of ``y`` (m, n) and ``y0``
     (m, k), for the simulator's replicates.
@@ -188,37 +187,23 @@ class DataStack:
     Carries the fields of both ``FirstStageData`` and ``SecondStageData``,
     per-row ones with a leading axis of m, summarised by the same functions
     as the containers, so an estimator kernel takes a stack as both stages
-    and row i equals the containers built from row i bit for bit.  The rows
-    are not checked: a caller keeps non-finite rows out of the fits.
+    and row i equals the containers built from row i bit for bit.  A plain
+    internal object: it keeps the caller's arrays, writable and unchecked,
+    and a caller keeps non-finite rows out of the fits.
     """
 
-    x_fixed: np.ndarray
-    delta_var: np.ndarray
-    y: np.ndarray
-    y0: np.ndarray
-    xbar: float = field(init=False, repr=False)
-    ybar: np.ndarray = field(init=False, repr=False)
-    xc: np.ndarray = field(init=False, repr=False)
-    yc: np.ndarray = field(init=False, repr=False)
-    sxx: float = field(init=False, repr=False)
-    sxy: np.ndarray = field(init=False, repr=False)
-    slope_threshold: np.ndarray = field(init=False, repr=False)
-    y0bar: np.ndarray = field(init=False, repr=False)
-    ss0: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        xbar, ybar, xc, yc, sxx, sxy, threshold = _first_summaries(self.x_fixed, self.y)
-        y0bar, ss0 = _second_summaries(self.y0)
-        _set(self, xbar=xbar, ybar=ybar, xc=xc, yc=yc, sxx=sxx, sxy=sxy,
-             slope_threshold=threshold, y0bar=y0bar, ss0=ss0)
+    def __init__(self, x_fixed, delta_var, y, y0):
+        self.x_fixed, self.delta_var, self.y, self.y0 = x_fixed, delta_var, y, y0
+        (self.xbar, self.ybar, self.xc, self.yc, self.sxx, self.sxy,
+         self.slope_threshold) = _first_summaries(x_fixed, y)
+        self.y0bar, self.ss0 = _second_summaries(y0)
 
     def take(self, rows) -> DataStack:
         """The stack of the datasets in ``rows`` (indices or a mask).  A
         scalar index gives that one dataset: 1-D ``y`` and ``y0`` and scalar
         summaries, which the estimators take as they take the containers."""
         part = object.__new__(DataStack)
-        _set(part, x_fixed=self.x_fixed, delta_var=self.delta_var, xbar=self.xbar,
-             xc=self.xc, sxx=self.sxx, **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
+        vars(part).update(vars(self), **{name: getattr(self, name)[rows] for name in _ROW_FIELDS})
         return part
 
     @property

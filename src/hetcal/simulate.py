@@ -28,10 +28,11 @@ from .usual import _usual, variance_usual
 # one by one: chunks of 4 and 8 took 1.23-1.27x its time at n = 5000, k = 2
 LANE_ELEMENTS = 2**14
 # the fewest replicates fitted as lanes: shorter chunks run one by one.  As
-# lanes, chunks of 2 took 1.56x and chunks of 3 1.35x the time of fitting
-# alone, at (n, k) = (3000, 2) and (2500, 2) (medians of 8 pairs, bit-identical
-# tables; ROADMAP, aim 2)
-LANE_MIN = 4
+# lanes, chunks of 4 took 1.27x, 1.33x and 1.17x the time of fitting alone at
+# (n, k) = (1700, 2), (2000, 2) and (1900, 20), and one chunk of 4 at (5, 2)
+# 1.07x; chunks of 2 and 3 took 1.56x and 1.35x at (3000, 2) and (2500, 2)
+# (medians of 8-20 pairs, bit-identical tables; ROADMAP, aim 2)
+LANE_MIN = 5
 
 
 def default_grid(n: int) -> np.ndarray:

@@ -433,6 +433,46 @@ def _assert_same_bits(a, b):
     assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+_DESIGN_FIELDS = ("x_fixed", "delta_var", "xbar", "xc", "sxx")
+_PER_ROW_FIELDS = ("y", "ybar", "yc", "sxy", "slope_threshold", "y0", "y0bar", "ss0")
+
+
+def _assert_rows_are_containers(stack, rows, x, dv, y, y0):
+    # row j of ``stack`` holds every field of the containers built from
+    # dataset rows[j], bit for bit; a scalar ``rows`` is one dataset
+    for j, i in enumerate(np.atleast_1d(rows)):
+        first, second = FirstStageData(x, y[i], dv), SecondStageData(y0[i])
+        for name in _DESIGN_FIELDS + _PER_ROW_FIELDS:
+            got = getattr(stack, name)
+            if name in _PER_ROW_FIELDS and np.ndim(rows):
+                got = got[j]
+            want = getattr(second if name in ("y0", "y0bar", "ss0") else first, name)
+            _assert_same_bits(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("n", [3, 8, 9, 129])
+@pytest.mark.bitwise
+def test_a_stack_row_is_the_containers_of_its_dataset(n, m):
+    # lengths about numpy's 8-way unrolled sums and its 128-element pairwise
+    # blocks: each row's summaries are the containers' of that dataset, and
+    # take by mask, by indices or by one index gives those same rows on the
+    # stack's own design arrays
+    rng = np.random.default_rng(100 * n + m)
+    x, dv = default_grid(n), default_delta_vars(n)
+    y = 0.1 + 2.0 * x + rng.standard_normal((m, n))
+    y0 = 1.7 + rng.standard_normal((m, n))
+    data = DataStack(x, dv, y, y0)
+    assert (data.n, data.k) == (n, n)
+    _assert_rows_are_containers(data, np.arange(m), x, dv, y, y0)
+    index = rng.permutation(m)[:max(1, m // 2)]
+    mask = np.isin(np.arange(m), index)
+    for rows, part in [(np.flatnonzero(mask), data.take(mask)), (index, data.take(index)),
+                       (index[0], data.take(index[0]))]:
+        _assert_rows_are_containers(part, rows, x, dv, y, y0)
+        assert all(getattr(part, name) is getattr(data, name) for name in _DESIGN_FIELDS)
+
+
 @settings(max_examples=100, deadline=None)
 @given(stack=design_stacks(), max_iterations=st.sampled_from([hetero.MAX_ITERATIONS, 1, 2, 4]),
        order_seed=st.integers(0, 2**32 - 1))
