@@ -6,7 +6,9 @@ concentration-preparation error for each standard); the second stage holds
 the replicate responses measured on the unknown sample.  Both containers are
 immutable: they keep read-only copies of their vectors, check them when
 built (one length, finite values, nonnegative finite ``delta_var``) and
-summarise them once for both estimators.  ``validate`` adds what a fit
+summarise them once for both estimators, as attributes named by
+``_first_summaries`` and ``_second_summaries``; only the inputs are
+dataclass fields.  ``validate`` adds what a fit
 needs: n >= 3, k >= 2 and distinct concentrations.  Both estimators read the
 intercept and the unknown concentration at their fitted slope from
 ``profile_alpha_x0``.  ``DataStack`` holds many datasets on one design, one
@@ -22,7 +24,7 @@ values, the variance's sign), ``_require_count``, ``_require_entries``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -48,11 +50,6 @@ def _vector(values) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
-
-
-def _set(container, **fields):
-    for name, value in fields.items():
-        object.__setattr__(container, name, value)
 
 
 def _require(ok: np.ndarray, name: str, vec: np.ndarray, error: type, what: str):
@@ -95,11 +92,11 @@ def _col(v):
     return v[..., None] if isinstance(v, np.ndarray) else v
 
 
-def _first_summaries(x: np.ndarray, y: np.ndarray):
-    """``(xbar, ybar, xc, yc, sxx, sxy, slope_threshold)`` over the last
-    axis, of one dataset or of a stack of responses ``y`` (m, n) on one
-    design ``x``: the means, the centred vectors and their sums of squares
-    and products."""
+def _first_summaries(x: np.ndarray, y: np.ndarray) -> dict:
+    """The first stage's summaries by name, over the last axis, of one
+    dataset or of a stack of responses ``y`` (m, n) on one design ``x``: the
+    means ``xbar``, ``ybar``, the centred ``xc``, ``yc``, their sums ``sxx``
+    of xc * xc and ``sxy`` of xc * yc, and ``slope_threshold``."""
     # finite data near the largest float can still overflow a sum or a spread
     with np.errstate(all="ignore"):
         xbar, ybar = _sum(x) / x.shape[-1], _sum(y) / y.shape[-1]
@@ -107,16 +104,17 @@ def _first_summaries(x: np.ndarray, y: np.ndarray):
         # an empty design has no span; numpy zeros divide to nan here, where floats would raise
         rscale, cscale = (_span(y), _span(x)) if x.size else (np.float64(0.0), np.float64(0.0))
         threshold = np.where((rscale != 0) & (cscale != 0), 1e-12 * rscale / cscale, 1e-12)
-        return xbar, ybar, xc, yc, _sum(xc * xc), _sum(xc * yc), threshold
+        return dict(xbar=xbar, ybar=ybar, xc=xc, yc=yc, sxx=_sum(xc * xc), sxy=_sum(xc * yc),
+                    slope_threshold=threshold)
 
 
-def _second_summaries(y0: np.ndarray):
-    """``(y0bar, ss0)`` over the last axis: the readings' mean and their sum
-    of squares about it."""
+def _second_summaries(y0: np.ndarray) -> dict:
+    """The second stage's summaries by name, over the last axis: the
+    readings' mean ``y0bar`` and their sum of squares about it, ``ss0``."""
     with np.errstate(all="ignore"):
         y0bar = _sum(y0) / y0.shape[-1]
         c = y0 - _col(y0bar)
-        return y0bar, _sum(c * c)
+        return dict(y0bar=y0bar, ss0=_sum(c * c))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,35 +123,29 @@ class FirstStageData:
     analyst), instrument responses ``y``, and the known preparation-error
     variances ``delta_var`` (one per standard, in squared concentration units).
 
-    Also holds the means ``xbar``, ``ybar``, the centred ``xc``, ``yc``, their
-    sums ``sxx`` of xc * xc and ``sxy`` of xc * yc, and ``slope_threshold``,
-    the smallest slope magnitude taken as nonzero; it is relative to the
-    response/concentration spread, so it holds in any unit.
+    Its summaries are the attributes that ``_first_summaries`` names, set
+    when it is built; ``dataclasses.fields`` lists the inputs only.
+    ``slope_threshold`` is the smallest slope magnitude taken as nonzero; it
+    is relative to the response/concentration spread, so it holds in any unit.
     """
 
     x_fixed: np.ndarray
     y: np.ndarray
     delta_var: np.ndarray
-    xbar: float = field(init=False, repr=False)
-    ybar: float = field(init=False, repr=False)
-    xc: np.ndarray = field(init=False, repr=False)
-    yc: np.ndarray = field(init=False, repr=False)
-    sxx: float = field(init=False, repr=False)
-    sxy: float = field(init=False, repr=False)
-    slope_threshold: float = field(init=False, repr=False)
 
     def __post_init__(self):
         x, y, dv = _vector(self.x_fixed), _vector(self.y), _vector(self.delta_var)
-        _set(self, x_fixed=x, y=y, delta_var=dv)
+        vars(self).update(x_fixed=x, y=y, delta_var=dv)
         if y.size != x.size or dv.size != x.size:
             raise MismatchedLengths(f"first-stage vectors have lengths {x.size}, {y.size}, "
                                     f"{dv.size}; they must match")
         _require_entries(x, y, dv)
-        xbar, ybar, xc, yc, sxx, sxy, threshold = _first_summaries(x, y)
-        xc.flags.writeable = yc.flags.writeable = False
-        # the sums stay numpy floats, whose division by zero gives inf, not an error
-        _set(self, xbar=float(xbar), ybar=float(ybar), xc=xc, yc=yc, sxx=sxx, sxy=sxy,
-             slope_threshold=float(threshold))
+        s = _first_summaries(x, y)
+        s["xc"].flags.writeable = s["yc"].flags.writeable = False
+        # the means and the threshold become Python floats; the sums stay
+        # numpy floats, whose division by zero gives inf, not an error
+        vars(self).update(s, xbar=float(s["xbar"]), ybar=float(s["ybar"]),
+                          slope_threshold=float(s["slope_threshold"]))
 
     @property
     def n(self) -> int:
@@ -162,18 +154,16 @@ class FirstStageData:
 
 @dataclass(frozen=True, eq=False)
 class SecondStageData:
-    """Replicate instrument responses measured on the unknown sample, with
-    their mean ``y0bar`` and their sum of squares about it, ``ss0``."""
+    """Replicate instrument responses measured on the unknown sample.  Its
+    mean ``y0bar`` and its sum of squares about it, ``ss0``, are Python
+    floats set when it is built; ``dataclasses.fields`` lists ``y0`` only."""
 
     y0: np.ndarray
-    y0bar: float = field(init=False, repr=False)
-    ss0: float = field(init=False, repr=False)
 
     def __post_init__(self):
         y0 = _vector(self.y0)
         _require(np.isfinite(y0), "y0", y0, NonFiniteValue, "finite number")
-        y0bar, ss0 = _second_summaries(y0)
-        _set(self, y0=y0, y0bar=float(y0bar), ss0=float(ss0))
+        vars(self).update(y0=y0, **{name: float(v) for name, v in _second_summaries(y0).items()})
 
     @property
     def k(self) -> int:
@@ -194,9 +184,7 @@ class DataStack:
 
     def __init__(self, x_fixed, delta_var, y, y0):
         self.x_fixed, self.delta_var, self.y, self.y0 = x_fixed, delta_var, y, y0
-        (self.xbar, self.ybar, self.xc, self.yc, self.sxx, self.sxy,
-         self.slope_threshold) = _first_summaries(x_fixed, y)
-        self.y0bar, self.ss0 = _second_summaries(y0)
+        vars(self).update(_first_summaries(x_fixed, y), **_second_summaries(y0))
 
     def take(self, rows) -> DataStack:
         """The stack of the datasets in ``rows`` (indices or a mask).  A

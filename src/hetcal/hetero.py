@@ -406,21 +406,20 @@ def _newton_lanes(first, second, beta, s2, beta_scale, work):
     return (*best, iterations)
 
 
-def _exact(first, second):
-    """The fit to identical readings, returned as ``_hetero`` returns a fit.
-    Only a noiseless dataset has one: its data lie exactly on a line, so the
+def _exact(beta, first, second):
+    """The fit to identical readings at ``_start``'s slope ``beta``, returned
+    as ``_hetero`` returns a fit, inside ``_hetero``'s ``np.errstate``.  Only
+    a noiseless dataset has one: its data lie exactly on a line, so the
     likelihood is unbounded at the perfect fit with zero response variance,
     which is returned.  The line counts as exact when the least-squares
     residuals are at rounding level, relative to the size of the responses in
     whatever unit they come; otherwise the variance really is driven to the
     boundary."""
-    with np.errstate(all="ignore"):  # an overflowed slope fails the verdict
-        beta = first.sxy / first.sxx
-        r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
-        alpha, x0 = _alpha_x0(beta, first, second)
-        # a zero slope also covers all-zero responses, which have no size
-        inexact = (_slope_verdict(beta, first)[1]
-                   or float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2)
+    r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
+    alpha, x0 = _alpha_x0(beta, first, second)
+    # a zero slope also covers all-zero responses, which have no size
+    inexact = (_slope_verdict(beta, first)[1]
+               or float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2)
     return ((alpha, beta, x0, 0.0, 0.0, np.True_, 0.0, math.inf, 0),
             (("identical", inexact), _finite_verdict(alpha, beta, x0)))
 
@@ -442,14 +441,15 @@ def _hetero(first, second, work):
     that ``_fit_result`` reads, converged where its scaled score is below
     ``SCORE_TOL``, and its verdict, in the order it is judged.  A stack runs
     ``_newton_lanes`` in ``work``, one lane per dataset, one dataset
-    ``_newton`` in ``work``, or ``_exact`` where its readings are identical;
+    ``_newton`` in ``work``, or ``_exact`` at the start's slope where its
+    readings are identical (``s2_0 <= 0``, as ``ss0 <= 0`` with k >= 2);
     the variance is read in the same ``work``.  The score norm is the larger
     of the kept iterate's two scores in size."""
-    if first.y.ndim == 1 and second.ss0 <= 0.0:
-        return _exact(first, second)
-    newton = _newton_lanes if first.y.ndim > 1 else _newton
+    beta0, s2_0, _ = start = _start(first, second)
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
-        _, s2_0, _ = start = _start(first, second)
+        if first.y.ndim == 1 and s2_0 <= 0.0:
+            return _exact(beta0, first, second)
+        newton = _newton_lanes if first.y.ndim > 1 else _newton
         beta, s2, scaled, r_beta, r_sigma, loglik, iterations = newton(first, second, *start, work)
         alpha, x0 = _alpha_x0(beta, first, second)
         var, variance_verdict = _variance_x0(beta, x0, s2, first, second.k, work)

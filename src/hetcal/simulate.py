@@ -11,14 +11,14 @@ finish, which keeps the reduction order fixed as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import index
 
 import numpy as np
 
 from .data import (_LEAST_K, _LEAST_N, DataStack, FirstStageData, SecondStageData, Theta,
                    _quantile, _require_count, _require_entries, _require_parameters,
-                   _require_slope, _set, _vector, validate)
+                   _require_slope, _vector, validate)
 from .errors import AllReplicatesFailed, CalibrationError
 from .hetero import _hetero, variance_x0, workspace
 from .usual import _usual, variance_usual
@@ -31,7 +31,10 @@ LANE_ELEMENTS = 2**14
 # lanes, chunks of 4 took 1.27x, 1.33x and 1.17x the time of fitting alone at
 # (n, k) = (1700, 2), (2000, 2) and (1900, 20), and one chunk of 4 at (5, 2)
 # 1.07x; chunks of 2 and 3 took 1.56x and 1.35x at (3000, 2) and (2500, 2)
-# (medians of 8-20 pairs, bit-identical tables; ROADMAP, aim 2)
+# (medians of 8-20 pairs, bit-identical tables; ROADMAP, aim 2).  Chunks of
+# 5 at n >= 1400 lose too, but no study, benchmark or CI run has one: this
+# routes alone only the last 3 of each (100, 2) study row (3000 = 37 * 81 + 3)
+# and CI's noiseless (5, 2) x 3; every other chunk is >= 30 or 1 at n = 5000
 LANE_MIN = 5
 
 
@@ -62,7 +65,6 @@ class ScenarioConfig:
     n_reps: int
     ci_level: float = 0.95
     seed: int = 0
-    _design: FirstStageData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the counts, before any array is built from them: n and k as a fit
@@ -86,7 +88,7 @@ class ScenarioConfig:
             _require_slope(self.beta_true, first)
         except CalibrationError as exc:
             raise ValueError(f"scenario: {exc}") from exc
-        _set(self, x_grid=first.x_fixed, delta_var_rule=first.delta_var, _design=first)
+        vars(self).update(x_grid=first.x_fixed, delta_var_rule=first.delta_var, _design=first)
 
 
 def make_scenario(

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -18,8 +20,13 @@ from hetcal import (
     fit_usual,
     validate,
 )
+from hetcal.data import DataStack, _first_summaries, _second_summaries
 
 from conftest import model_datasets
+
+# the summaries both estimators read, named here independently of the package
+FIRST_SUMMARIES = ["xbar", "ybar", "xc", "yc", "sxx", "sxy", "slope_threshold"]
+SECOND_SUMMARIES = ["y0bar", "ss0"]
 
 
 def minimal_pair():
@@ -128,6 +135,36 @@ def test_containers_are_immutable():
         first.x_fixed = np.zeros(3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         second.y0 = np.zeros(2)
+
+
+def test_containers_store_their_inputs_as_fields_and_the_named_summaries_as_attributes(analytes):
+    first, second = analytes["lead"]
+    assert list(_first_summaries(first.x_fixed, first.y)) == FIRST_SUMMARIES
+    assert list(_second_summaries(second.y0)) == SECOND_SUMMARIES
+    assert [f.name for f in dataclasses.fields(first)] == ["x_fixed", "y", "delta_var"]
+    assert [f.name for f in dataclasses.fields(second)] == ["y0"]
+    assert sorted(vars(first)) == sorted(["x_fixed", "y", "delta_var", *FIRST_SUMMARIES])
+    assert sorted(vars(second)) == sorted(["y0", *SECOND_SUMMARIES])
+    stack = DataStack(first.x_fixed, first.delta_var, np.stack([first.y] * 2),
+                      np.stack([second.y0] * 2))
+    assert sorted(vars(stack)) == sorted(["x_fixed", "delta_var", "y", "y0", *FIRST_SUMMARIES,
+                                          *SECOND_SUMMARIES])
+    # the type policy: means, threshold and the readings' sums are Python
+    # floats, the first stage's sums numpy floats, the centred vectors read-only
+    for value in (first.xbar, first.ybar, first.slope_threshold, second.y0bar, second.ss0):
+        assert type(value) is float
+    assert type(first.sxx) is np.float64 and type(first.sxy) is np.float64
+    assert not first.xc.flags.writeable and not first.yc.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.sxx = 0
+    # copies keep every summary bit for bit
+    for original, names, replaced in (
+            (first, FIRST_SUMMARIES, dataclasses.replace(first, y=first.y.copy())),
+            (second, SECOND_SUMMARIES, dataclasses.replace(second, y0=second.y0.copy()))):
+        for other in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original), replaced):
+            for name in names:
+                a, b = getattr(original, name), getattr(other, name)
+                assert type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
