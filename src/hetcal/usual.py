@@ -73,10 +73,8 @@ def variance_usual(theta: Theta, first: FirstStageData, k: int) -> float:
 
 def _variance_usual(beta, x0, sigma_eps2, first, k):
     """The body of ``variance_usual``, for one dataset or a stack."""
-    n = first.n
-    sxx = first.sxx / n
     m = first.xbar - x0
-    return sigma_eps2 / (beta * beta) * (1.0 / k + 1.0 / n + m * m / (n * sxx))
+    return sigma_eps2 / (beta * beta) * (1.0 / k + 1.0 / first.n + m * m / first.sxx)
 
 
 def _usual(first, second):
@@ -86,9 +84,9 @@ def _usual(first, second):
     zero or an output is not finite."""
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
         n, k = first.n, second.k
-        beta = (first.sxy / n) / (first.sxx / n)
+        beta = first.sxy / first.sxx
         alpha, x0 = _alpha_x0(beta, first, second)
-        r = first.y - _col(alpha) - _col(beta) * first.x_fixed
+        r = first.yc - _col(beta) * first.xc
         sigma_eps2 = (_sum(r * r) + second.ss0) / (n + k)
         var_x0 = _variance_usual(beta, x0, sigma_eps2, first, k)
         # the log-likelihood, infinite at the degenerate noiseless fit
@@ -99,12 +97,11 @@ def _usual(first, second):
 
 
 def fit_usual(first: FirstStageData, second: SecondStageData, level: float = 0.95) -> FitResult:
-    """Maximum-likelihood fit of the classical calibration model.
-
-    Everything is closed form: slope and intercept from the first-stage
-    normal equations, the unknown concentration by inverting the fitted line
-    at the mean sample response, and the error variance as the pooled ML
-    estimate (divisor n + k).
-    """
+    """Maximum-likelihood fit of the classical calibration model, in closed
+    form from the centred summaries: beta = Sxy / Sxx, the intercept and x0
+    from ``profile_alpha_x0``, sigma_eps2 = (sum (yc - beta xc)**2 + ss0) /
+    (n + k) and var_x0 = sigma_eps2 / beta**2 (1/k + 1/n + (xbar - x0)**2 /
+    Sxx).  beta is the slope ``fit_hetero`` starts from, bit for bit, and
+    sigma_eps2 the pooled variance at it, a start for its variance."""
     validate(first, second)
     return _fit_result(*_usual(first, second), level)

@@ -29,6 +29,7 @@ from hetcal import (
 from hetcal import hetero
 from hetcal.data import DataStack
 from hetcal.hetero import SCORE_TOL, _evaluate, _newton, _rows, workspace
+from hetcal.simulate import generate_dataset, make_scenario, replicate_rng
 
 from conftest import fit_or_reject, make_model_dataset, model_datasets, rel_diff
 
@@ -902,3 +903,28 @@ def test_small_response_units_leave_the_fit_converged(analytes, name, unit):
                      SecondStageData(unit * second.y0))
     assert base.converged
     assert res.converged
+
+
+# (n, k, seed, rep) of x0 = 0.8 replicates on which the fit from the ss0 / k
+# start is certified in a mode below the one reached from the pooled start,
+# fit_usual's (beta, sigma_eps2): l = 331.03 against 1369.73 at n = 5000
+# (sigma_eps2 2.1e-7 against 0.043), then -0.8415 against 0.8114, -0.7009
+# against -0.5298, -0.4178 against -0.3071 and 3.1117 against 4.4421
+LOWER_MODE = [(5000, 2, 9, 17), (5, 2, 7, 271), (5, 2, 7, 344), (5, 2, 40076, 84),
+              (20, 2, 11, 155)]
+
+
+@pytest.mark.parametrize("n, k, seed, rep", LOWER_MODE)
+def test_fit_reaches_the_mode_of_the_pooled_start(request, n, k, seed, rep):
+    cfg = make_scenario(n, k, 0.8, seed=seed, n_reps=rep + 1)
+    first, second = generate_dataset(cfg, replicate_rng(seed, rep))
+    beta0, _, beta_scale = hetero._start(first, second)
+    s2 = fit_usual(first, second).theta_hat.sigma_eps2
+    beta, s2, scaled, *_ = _newton(first, second, beta0, s2, beta_scale, workspace(first.n))
+    assert scaled < SCORE_TOL
+    alpha, x0 = profile_alpha_x0(beta, first, second)
+    pooled = log_likelihood(Theta(alpha, float(beta), x0, float(s2)), first, second)
+    # only what follows is the known defect: the pooled point above must stay certified
+    request.applymarker(pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: the ss0/k start ends in a lower mode"))
+    assert fit_hetero(first, second).log_likelihood >= pooled - 1e-9 * (abs(pooled) + 1.0)

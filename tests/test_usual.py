@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetcal import (
     FirstStageData,
@@ -15,8 +17,10 @@ from hetcal import (
     fit_usual,
     variance_usual,
 )
+from hetcal import hetero, usual
+from hetcal.data import DataStack
 
-from conftest import make_model_dataset
+from conftest import fit_or_reject, make_model_dataset, model_datasets
 
 # published reference estimates for the bundled datasets, classical model
 REFERENCE = {
@@ -195,3 +199,39 @@ def test_unrepresentable_fit_raises_non_finite_value():
     first = FirstStageData(x, 1e160 * (0.1 + 2.0 * x + scatter), np.full(5, 1e-4))
     with pytest.raises(NonFiniteValue):
         fit_usual(first, SecondStageData([3e160, 3.2e160]))
+
+
+def _pooled_start(first, second):
+    """``hetero._start``'s slope and the pooled variance at it, written out."""
+    beta0 = hetero._start(first, second)[0]
+    r = first.yc - beta0 * first.xc
+    return beta0, (np.add.reduce(r * r) + second.ss0) / (first.n + second.k)
+
+
+def _assert_fit_is_the_pooled_start(first, second):
+    res = fit_or_reject(fit_usual, first, second)
+    beta0, s2 = _pooled_start(first, second)
+    assert res.theta_hat.beta == beta0
+    assert res.theta_hat.sigma_eps2 == s2
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_fit_is_the_proposed_fits_pooled_start_on_the_analytes(analytes, name):
+    _assert_fit_is_the_pooled_start(*analytes[name])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=model_datasets(), seed=st.integers(0, 2**32 - 1))
+def test_fit_is_the_proposed_fits_pooled_start(data, seed):
+    # one slope Sxy / Sxx and one residual yc - beta * xc for both
+    # estimators, bit for bit: for one dataset and for every lane of a stack
+    first, second = data
+    _assert_fit_is_the_pooled_start(first, second)
+    rng = np.random.default_rng(seed)
+    y = first.y + np.vstack([np.zeros(first.n), rng.standard_normal((3, first.n))])
+    y0 = second.y0 + np.vstack([np.zeros(second.k), rng.standard_normal((3, second.k))])
+    stack = DataStack(first.x_fixed, first.delta_var, y, y0)
+    (_, beta, _, s2, *_), _ = usual._usual(stack, stack)
+    for i in range(4):
+        one = stack.take(i)
+        assert (beta[i], s2[i]) == _pooled_start(one, one)
