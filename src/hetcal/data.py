@@ -8,17 +8,19 @@ immutable: they keep read-only copies of their vectors, check them when
 built (one length, finite values, nonnegative finite ``delta_var``) and
 summarise them once for both estimators, as attributes named by
 ``_first_summaries`` and ``_second_summaries``; only the inputs are
-dataclass fields.  ``validate`` adds what a fit
-needs: n >= 3, k >= 2 and distinct concentrations.  Both estimators read the
-intercept and the unknown concentration at their fitted slope from
-``profile_alpha_x0``.  ``DataStack`` holds many datasets on one design, one
-per row, for the simulator's replicates; it is summarised by the same
-functions, which reduce over the last axis.  ``_FAILURES`` holds why a fit
-can fail: one dataset raises the first failed reason of its verdict, a lane
-fails on any.  The input rules live here once, for the functions of theta,
-the estimators and ``ScenarioConfig``: ``_require_parameters`` (finite
-values, the variance's sign), ``_require_count``, ``_require_entries``,
-``_quantile`` (of a level), ``_require_slope`` and ``_require_finite``.
+dataclass fields.  ``validate`` adds what a fit needs: n >= 3, k >= 2 and
+distinct concentrations.  Both estimators read the intercept and the unknown
+concentration at their fitted slope from ``profile_alpha_x0``.
+``DataStack`` holds many datasets on one design, one per row, for the
+simulator's replicates; it is summarised by the same functions, which reduce
+over the last axis.  ``_FAILURES`` holds why a fit can fail, six causes that
+each can fail alone: ``identical``, ``overflow``, ``boundary``, ``slope``,
+``singular`` and ``finite``.  One dataset raises the first failed reason of
+its verdict, a lane fails on any.  The input rules live here once, for the
+functions of theta, the estimators and ``ScenarioConfig``:
+``_require_parameters`` (finite values, the variance's sign),
+``_require_count``, ``_require_entries``, ``_quantile`` (of a level),
+``_require_slope`` and ``_require_finite``.
 """
 
 from __future__ import annotations
@@ -255,9 +257,9 @@ def validate(first: FirstStageData, second: SecondStageData):
     return first, second
 
 
-# why a fit fails: the error each reason raises on one dataset and its
-# message, filled from the fit's ``beta``, ``s2``, ``theta`` and ``var_x0``.
-# An estimator's verdict lists ``(reason, failed)`` in the order it judges them
+# why a fit fails, six causes that each can fail alone: the error each raises
+# on one dataset and its message, filled from the fit's ``beta``, ``s2``,
+# ``theta`` and ``var_x0``.  A verdict lists ``(reason, failed)`` in judged order
 _FAILURES = {
     "identical": (NonPositiveVariance, "second-stage responses are all identical; the "
                                        "response-error variance estimate would be driven to zero"),
@@ -265,8 +267,6 @@ _FAILURES = {
                                  "the response-error variance {s2} leave the float range"),
     "boundary": (NonPositiveVariance, "response-error variance was driven to the boundary ({s2})"),
     "slope": (SlopeNearZero, "slope {beta} is numerically zero"),
-    "weights": (NonFiniteValue, "the variance is not representable in floating point: "
-                                "slope {beta}"),
     "singular": (SingularInformation, "information matrix is numerically singular for this "
                                       "design"),
     "finite": (NonFiniteValue, "the fit is not representable in floating point: {theta}, "

@@ -47,7 +47,7 @@ import numpy as np
 
 from .data import (FirstStageData, FitResult, SecondStageData, Theta, _alpha_x0, _col,
                    _finite_verdict, _raise_first, _require_finite, _require_parameters,
-                   _require_slope, _slope_verdict, _sum, validate)
+                   _slope_verdict, _sum, validate)
 from .usual import _fit_result
 
 MAX_ITERATIONS = 10000  # Newton steps before a fit is reported unconverged
@@ -135,21 +135,21 @@ def variance_x0(theta: Theta, first: FirstStageData, k: int) -> float:
     parameters.  The delta method on x0 = (mu0 - alpha) / beta then needs
     only the (alpha, beta) block of the inverse: the inverse of the
     first-stage (alpha, beta) information once sigma_eps2 is eliminated (its
-    Schur complement).  With weights w = 1 / gamma, ``b`` is 1 / Var(beta);
-    every term in it and in the result is non-negative, so nothing cancels.
+    Schur complement).  With w = 1 / gamma, ``b`` is 1 / Var(beta); every
+    term in it and in the result is non-negative, so nothing cancels.  Raises
+    on a zero ``slope``, a ``singular`` information or a non-finite result.
     """
     _, beta, x0, s2 = _require_parameters(k, **vars(theta))
-    _require_slope(theta.beta, first)
-    var, verdict = _variance_x0(beta, x0, s2, first, k, workspace(first.n))
-    _raise_first(verdict, beta=theta.beta)
+    var, singular = _variance_x0(beta, x0, s2, first, k, workspace(first.n))
+    _raise_first((_slope_verdict(theta.beta, first), singular), beta=theta.beta)
     return float(_require_finite("variance_x0", var, **vars(theta)))
 
 
 def _variance_x0(be, x0, s2, first, k, work):
     """The body of ``variance_x0`` over the last axis, for one dataset or
     stacked lanes, in ``work`` (one lane per dataset of a stack): ``var_x0``
-    and its verdict, which fails where every weight vanished (``beta *
-    beta`` overflowed) or the information is singular."""
+    and its verdict entry ``singular``.  Where ``beta * beta`` overflowed,
+    every weight vanished and ``var_x0`` is NaN, which ``finite`` judges."""
     x, dv = first.x_fixed, first.delta_var
     w, xw, w2, dvw2, xdw, ddw2 = work[:6]
     with np.errstate(all="ignore"):
@@ -169,7 +169,7 @@ def _variance_x0(be, x0, s2, first, k, work):
         b = sxd + 2.0 * be * be * (sdd + td * dbar * k / (k + s2 * s2 * t1))
         m = xbar - x0
         var = (s2 / k + (b + s1 * m * m) / (s1 * b)) / (be * be)
-        return var, (("weights", ~(s1 > 0.0)), ("singular", b <= 1e-12 * (b + s1 * xbar * xbar)))
+        return var, ("singular", b <= 1e-12 * (b + s1 * xbar * xbar))
 
 
 # rows of a workspace: the point's 1 / gamma and d / gamma, then the rows of
@@ -414,14 +414,13 @@ def _exact(beta, first, second):
     which is returned.  The line counts as exact when the least-squares
     residuals are at rounding level, relative to the size of the responses in
     whatever unit they come; otherwise the variance really is driven to the
-    boundary."""
+    boundary.  Its verdict judges ``identical``, ``slope`` and ``finite``."""
     r = (first.yc - beta * first.xc) / np.max(np.abs(first.y))
     alpha, x0 = _alpha_x0(beta, first, second)
-    # a zero slope also covers all-zero responses, which have no size
-    inexact = (_slope_verdict(beta, first)[1]
-               or float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2)
+    # all-zero responses have no size: their residual is NaN, and the slope fails
+    inexact = float(np.sum(r * r)) > first.n * (64.0 * np.finfo(float).eps) ** 2
     return ((alpha, beta, x0, 0.0, 0.0, np.True_, 0.0, math.inf, 0),
-            (("identical", inexact), _finite_verdict(alpha, beta, x0)))
+            (("identical", inexact), _slope_verdict(beta, first), _finite_verdict(alpha, beta, x0)))
 
 
 def _start(first, second):
@@ -439,12 +438,12 @@ def _hetero(first, second, work):
     """The proposed fit over the last axis of one dataset, or of a
     ``DataStack`` given as both stages whose readings all differ: the record
     that ``_fit_result`` reads, converged where its scaled score is below
-    ``SCORE_TOL``, and its verdict, in the order it is judged.  A stack runs
-    ``_newton_lanes`` in ``work``, one lane per dataset, one dataset
-    ``_newton`` in ``work``, or ``_exact`` at the start's slope where its
-    readings are identical (``s2_0 <= 0``, as ``ss0 <= 0`` with k >= 2);
-    the variance is read in the same ``work``.  The score norm is the larger
-    of the kept iterate's two scores in size."""
+    ``SCORE_TOL``, and its verdict, judged in the order ``overflow``,
+    ``boundary``, ``slope``, ``singular`` and ``finite``.  A stack runs
+    ``_newton_lanes``, one lane per dataset, one dataset ``_newton``, both
+    in ``work`` with the variance, or ``_exact`` at the start's slope where
+    its readings are identical (``s2_0 <= 0``, as ``ss0 <= 0`` with k >= 2).
+    The score norm is the larger of the kept iterate's two scores in size."""
     beta0, s2_0, _ = start = _start(first, second)
     with np.errstate(all="ignore"):  # judged by the verdict, not reported
         if first.y.ndim == 1 and s2_0 <= 0.0:
@@ -452,13 +451,13 @@ def _hetero(first, second, work):
         newton = _newton_lanes if first.y.ndim > 1 else _newton
         beta, s2, scaled, r_beta, r_sigma, loglik, iterations = newton(first, second, *start, work)
         alpha, x0 = _alpha_x0(beta, first, second)
-        var, variance_verdict = _variance_x0(beta, x0, s2, first, second.k, work)
+        var, singular = _variance_x0(beta, x0, s2, first, second.k, work)
         # a fitted variance at or below 1e-12 of the data's variances (s2_0
         # and np.var(y)) is driven to the boundary
         floor = 1e-12 * (s2_0 + _sum(first.yc * first.yc) / first.n + 1e-300)
         # a driver stops at the first iterate whose variance is not representable
         verdict = (("overflow", ~_representable(s2)), ("boundary", s2 <= floor),
-                   _slope_verdict(beta, first), *variance_verdict,
+                   _slope_verdict(beta, first), singular,
                    _finite_verdict(alpha, beta, x0, s2, var))
         norm = np.maximum(abs(r_beta), abs(r_sigma))
     return (alpha, beta, x0, s2, var, scaled < SCORE_TOL, norm, loglik, iterations), verdict

@@ -50,7 +50,7 @@ def default_delta_vars(n: int) -> np.ndarray:
     return np.linspace(0.1 / n, 0.1, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """One simulation scenario: true parameters, design, and replication."""
 
@@ -157,7 +157,7 @@ def generate_dataset(cfg: ScenarioConfig, rng: np.random.Generator):
     return first, SecondStageData(y0=y0)
 
 
-@dataclass
+@dataclass(eq=False)
 class ReplicateTable:
     """Per-replicate fit outcomes; failed replicates carry NaN entries."""
 

@@ -251,6 +251,12 @@ def test_parse_sample_two_rows_ok_and_fewer_rejected(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: need at least 2 sample readings, got 1\n")
 
 
+def test_an_unknown_analyte_is_a_key_error_naming_the_bundled_ones():
+    with pytest.raises(KeyError, match="unknown analyte 'zinc'; choose from "
+                                       r"\('chromium', 'cadmium', 'lead'\)"):
+        load_analyte("zinc")
+
+
 def test_roundtrip_standards_and_sample(analytes):
     for first, second in analytes.values():
         back = parse_first_stage(write_first_stage(first))
@@ -774,14 +780,25 @@ def test_cli_parses_as_argparse_does(argv, tmp_path, capsys, monkeypatch):
         assert got == want
 
 
-def test_import_does_not_load_scipy():
+def _python(*args):
+    """Run this interpreter on ``args`` in a new process, with the package
+    under test on its path."""
     import hetcal
 
     src = str(Path(hetcal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+
+
+def test_import_does_not_load_scipy():
     code = ("import sys, hetcal, hetcal.cli; "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    assert _python("-c", code).stdout.strip() == "[]"
+
+
+def test_the_cli_module_runs_as_a_script():
+    # python -m hetcal.cli reads its own argv, as the console script does;
+    # check=True: the help exits 0
+    assert _python("-m", "hetcal.cli", "fit", "--help").stdout.startswith("usage: hetcal fit")

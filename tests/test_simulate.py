@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import re
 from unittest.mock import patch
 
@@ -29,8 +30,8 @@ from hetcal import (
     simulate_replicates,
     theoretical_variances,
 )
-from hetcal import hetero, simulate
-from hetcal.data import DataStack
+from hetcal import hetero, simulate, usual
+from hetcal.data import _FAILURES, DataStack
 
 
 # ------------------------------------------------------- design rules
@@ -208,6 +209,31 @@ def test_numpy_integer_counts_are_counts():
     assert (cfg.n, cfg.k, cfg.n_reps, cfg.seed) == (5, 2, 3, 1)
 
 
+def test_a_scenario_and_a_replicate_table_compare_by_identity():
+    # their array fields have no single truth value: a generated __eq__ raised
+    # on ==, and hash() on a scenario raised, so both compare and hash as
+    # objects, as the data containers do.  Replacing and pickling still copy
+    cfg = make_scenario(5, 2, 0.8, n_reps=3, seed=1)
+    table = simulate_replicates(cfg)
+    for obj, field in ((cfg, "seed"), (table, "failed")):
+        pickled = pickle.loads(pickle.dumps(obj))
+        replaced = dataclasses.replace(obj, **{field: getattr(obj, field)})
+        assert obj == obj and not obj != obj
+        assert obj != pickled and obj != replaced
+        assert hash(obj) == hash(obj)
+        assert {obj: 1, pickled: 2}[obj] == 1 and len({obj, obj, replaced}) == 2
+        for other in (pickled, replaced):
+            for f in dataclasses.fields(obj):
+                assert np.asarray(getattr(other, f.name)).tobytes() == np.asarray(
+                    getattr(obj, f.name)).tobytes()
+    # a copied scenario simulates the same table, bit for bit
+    for other in (pickle.loads(pickle.dumps(cfg)), dataclasses.replace(cfg)):
+        again = simulate_replicates(other)
+        for f in dataclasses.fields(table):
+            _assert_same_bits(np.asarray(getattr(again, f.name), dtype=float),
+                              np.asarray(getattr(table, f.name), dtype=float))
+
+
 def test_noiseless_scenario_recovers_exactly():
     cfg = make_scenario(n=5, k=2, x0=0.8, sigma_eps2=0.0, delta_vars=np.zeros(5),
                         n_reps=4, seed=2)
@@ -303,7 +329,7 @@ def test_huge_slope_theoretical_variance_raises_non_finite_value():
     # the scenario built, whose noiseless responses are capped, so no
     # RuntimeWarning (an error under pyproject.toml) comes first
     for beta in (1e200, 1e308):
-        with pytest.raises(NonFiniteValue, match="variance is not representable"):
+        with pytest.raises(NonFiniteValue, match="variance_x0 is not representable"):
             theoretical_variances(make_scenario(n=5, k=2, x0=0.8, beta=beta, n_reps=1))
 
 
@@ -502,51 +528,53 @@ def test_a_lane_reports_its_own_fits_in_any_stack(stack, max_iterations, order_s
     _assert_same_bits(subset, own[part])
 
 
-def _failing_datasets(reason, cadmium):
-    """Datasets whose proposed fit fails for ``reason`` (a key of
-    ``hetcal.data._FAILURES``), on a design where others fit: ``(x,
-    delta_var)``, the line ``(alpha, beta, x0)`` and the noise of responses
-    and readings of the datasets that fit, and the ``(y, y0)`` that fail."""
+def _failing_datasets(case, cadmium):
+    """Datasets whose proposed fit fails, on a design where others fit:
+    ``(x, delta_var)``, the line ``(alpha, beta, x0)`` and the noise of
+    responses and readings of the datasets that fit, and the ``(y, y0)``
+    that fail.  Each ``case`` but ``huge slope`` is named after the reason
+    (a key of ``hetcal.data._FAILURES``) it fails first."""
     first, second = cadmium
     x, dv, y, y0 = first.x_fixed, first.delta_var, first.y, second.y0
     fits = (0.45, 10.5, 0.08), (0.1, 0.1)  # about the bundled cadmium
     noise = np.random.default_rng(8).standard_normal((2, x.size))
-    if reason == "overflow":  # powers of the variance leave the float range
+    if case == "overflow":  # powers of the variance leave the float range
         return (x, dv), *fits, [(1e60 * y, 1e60 * y0), (1e-60 * y, 1e-60 * y0)]
-    if reason == "boundary":  # an exact line and near-identical readings
+    if case == "boundary":  # an exact line and near-identical readings
         return (x, dv), *fits, [(0.45 + 10.5 * x, [1.0, 1.0 + 1e-15])]
-    if reason == "slope":  # flat responses
+    if case == "slope":  # flat responses
         return (x, dv), *fits, [(np.full(x.size, 3.0), y0)]
-    if reason == "weights":  # concentrations in a unit where beta * beta overflows
+    if case == "huge slope":  # concentrations in a unit where beta * beta overflows
         x, dv = 1e-100 * x, 1e-200 * dv
         return ((x, dv), (0.45, 10.5e100, 0.08e-100), (0.1, 0.1),
                 [(1e55 * (0.45 + 10.5e100 * x) + 3e50 * noise[0],
                   1e55 * 1.3 + 3e50 * noise[1, :2])])
-    if reason == "singular":  # concentrations 1e-9 apart, preparation errors 1e-5
+    if case == "singular":  # concentrations 1e-9 apart, preparation errors 1e-5
         x, dv = 1.0 + 1e-9 * x, np.full(x.size, 1e-10)
         return ((x, dv), (0.1, 2.0, 1.0), (1e-5, 1e-7),
                 [(0.1 + 2.0 * x + 1e-8 * noise[0], 2.1 + 1e-7 * noise[1, :2])])
-    if reason == "finite":  # x0 overflows: readings far off a tiny slope
+    if case == "finite":  # x0 overflows: readings far off a tiny slope
         return (x, dv), *fits, [(1e-300 * x, [1e10, 1e10 + 1.0])]
-    raise ValueError(reason)
+    raise ValueError(case)
 
 
-@pytest.mark.parametrize("reason, usual_error, proposed_error", [
-    ("overflow", None, NonFiniteValue),
-    ("boundary", None, NonPositiveVariance),
-    ("slope", SlopeNearZero, SlopeNearZero),
-    ("weights", None, NonFiniteValue),
-    ("singular", None, SingularInformation),
-    ("finite", NonFiniteValue, NonFiniteValue),
+@pytest.mark.parametrize("case, reason, usual_error, proposed_error", [
+    ("overflow", "overflow", None, NonFiniteValue),
+    ("boundary", "boundary", None, NonPositiveVariance),
+    ("slope", "slope", SlopeNearZero, SlopeNearZero),
+    # every weight 1 / gamma vanishes, so var_x0 is NaN
+    ("huge slope", "finite", None, NonFiniteValue),
+    ("singular", "singular", None, SingularInformation),
+    ("finite", "finite", NonFiniteValue, NonFiniteValue),
 ])
 @pytest.mark.bitwise
-def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
+def test_every_failure_reason_fails_the_same_lane(analytes, case, reason, usual_error,
                                                   proposed_error):
     # a dataset failing for any reason is NaN, as a lane and fitted alone,
     # exactly where fit_usual or fit_hetero on it fails, and there each fit
     # raises that reason's error
     (x, dv), (alpha, beta, x0), (sd_y, sd_y0), failing = _failing_datasets(
-        reason, analytes["cadmium"])
+        case, analytes["cadmium"])
     rng, k = np.random.default_rng(9), len(failing[0][1])
     y = alpha + beta * x + sd_y * rng.standard_normal((5, x.size))
     y0 = alpha + beta * x0 + sd_y0 * rng.standard_normal((5, k))
@@ -580,6 +608,33 @@ def test_every_failure_reason_fails_the_same_lane(analytes, reason, usual_error,
         else:
             with pytest.raises(usual_error):
                 fit_usual(first, second)
+
+
+def test_every_failure_reason_has_a_dataset_that_fails_it_alone(analytes):
+    # each reason of _FAILURES is one cause, judged once: its witness fails
+    # that reason and no other in the verdict of the fits listed with it, and
+    # the other fit's verdict passes, so no reason is shadowed by another.
+    # The flat responses of the "slope" case fail x0 too, so the slope's
+    # witness is a line whose slope is just below its threshold
+    grid = np.arange(4.0)
+    witnesses = {
+        "identical": ([(grid, np.zeros(4), [1.0, 3.1, 5.0, 7.0], [2.0, 2.0])], {"proposed"}),
+        "slope": ([(grid, np.full(4, 0.01), [1.0, 0.0, 0.0, 1.0 + 1e-14], [0.6, 0.4])],
+                  {"usual", "proposed"}),
+    }
+    for reason, fits in (("overflow", {"proposed"}), ("boundary", {"proposed"}),
+                         ("singular", {"proposed"}), ("finite", {"usual", "proposed"})):
+        (x, dv), _, _, failing = _failing_datasets(reason, analytes["cadmium"])
+        witnesses[reason] = [(x, dv, y, y0) for y, y0 in failing], fits
+    assert sorted(witnesses) == sorted(_FAILURES)
+    for reason, (datasets, fits) in witnesses.items():
+        for x, dv, y, y0 in datasets:
+            first, second = FirstStageData(x, y, dv), SecondStageData(y0)
+            verdicts = {"usual": usual._usual(first, second)[1],
+                        "proposed": hetero._hetero(first, second, hetero.workspace(first.n))[1]}
+            for fit, verdict in verdicts.items():
+                failed = [name for name, fails in verdict if fails]
+                assert failed == ([reason] if fit in fits else []), (reason, fit)
 
 
 @pytest.mark.bitwise

@@ -14,6 +14,7 @@ from hetcal import (
     SlopeNearZero,
     Theta,
     confidence_interval,
+    fit_hetero,
     fit_usual,
     variance_usual,
 )
@@ -180,9 +181,15 @@ def test_matches_independent_normal_equations_solve():
 
 
 def test_flat_responses_raise_slope_near_zero():
-    first = FirstStageData(x_fixed=[0, 1, 2], y=[5.0, 5.0, 5.0], delta_var=[0] * 3)
-    with pytest.raises(SlopeNearZero):
-        fit_usual(first, SecondStageData(y0=[5.0, 5.0]))
+    # from both fits, whether or not the readings are identical: the proposed
+    # fit's exact case for identical readings judges the slope too, and
+    # all-zero responses, which have no size, fail there by their slope
+    for level in (3.0, 0.0):
+        first = FirstStageData(x_fixed=[0, 1, 2], y=[level] * 3, delta_var=[0] * 3)
+        for y0 in ([level, level], [level, level + 0.5]):
+            for fit in (fit_usual, fit_hetero):
+                with pytest.raises(SlopeNearZero):
+                    fit(first, SecondStageData(y0=y0))
 
 
 def test_huge_slope_variance_does_not_overflow():
@@ -220,6 +227,7 @@ def test_fit_is_the_proposed_fits_pooled_start_on_the_analytes(analytes, name):
     _assert_fit_is_the_pooled_start(*analytes[name])
 
 
+@pytest.mark.bitwise
 @settings(max_examples=200, deadline=None)
 @given(data=model_datasets(), seed=st.integers(0, 2**32 - 1))
 def test_fit_is_the_proposed_fits_pooled_start(data, seed):
